@@ -42,6 +42,7 @@ from .families import (
     g2_sum,
     g_sum,
     gfrac5_den_sum,
+    hyper_sum,
     limit_pochhammer_scaled,
     pochhammer_finite,
     pochhammer_infinite,
@@ -59,6 +60,10 @@ RECURRENCE = "recurrence"
 
 #: Continued-fraction kinds share the approximant-vs-ratio check.
 CF_KINDS = (CF_SERIES, CF_PRODUCT)
+
+#: Truncation order and approximant depth when a caller gives none.
+DEFAULT_ORDER = 40
+DEFAULT_DEPTH = 8
 
 PairFn = Callable[[ParamPoint, int], Sequence[Tuple[str, QSeries, QSeries]]]
 RecurrenceFn = Callable[[ParamPoint, int, int], Tuple[QSeries, ...]]
@@ -81,15 +86,12 @@ class IdentityEntry:
     display: str = ""
     param_note: str = ""
     constraints: Tuple[Tuple[Callable[[ParamPoint], bool], str], ...] = ()
-    make_cf: Optional[Callable[[ParamPoint, int, int], CFrac]] = None
+    make_cf: Optional[Callable[[ParamPoint, int], CFrac]] = None
     targets: Optional[Callable[[ParamPoint, int], Tuple[QSeries, QSeries]]] = None
     pairs: Optional[PairFn] = None
     recurrences: Tuple[RecurrenceFn, ...] = ()
     shifts: Tuple[int, int] = (0, 6)
-    reduction_links: Tuple[Tuple[str, Dict[str, str]], ...] = ()
     convergence: str = ""
-    default_order: int = 40
-    default_depth: int = 8
 
     def constraint_failure(self, point: ParamPoint) -> Optional[str]:
         """Reason the point is unusable, or None when all predicates hold."""
@@ -130,6 +132,11 @@ def _cmp(lhs: QSeries, rhs: QSeries) -> Tuple[Optional[int], tuple]:
 
 # ---------------------------------------------------------------------------
 # Series builders shared by several entries
+#
+# Each sum below is a term-ratio specification for families.hyper_sum:
+# ratio(k) = (scalar, power of q, polynomial factors, (c, p) factors that
+# stand for 1/(1 - c q^p)), which carries term k-1 to term k.  A Pochhammer
+# (x; q)_k contributes the factor 1 - x q^(k-1) at step k.
 
 
 def _one_plus(coef, power: int, order: int) -> QSeries:
@@ -145,47 +152,22 @@ def _qbin_term(a, b, k: int, order: int) -> QSeries:
 
 
 def _qbin_partial(a, b, upto: int, order: int) -> QSeries:
-    total = QSeries.zero(order)
-    for k in range(upto + 1):
-        total = total + _qbin_term(a, b, k, order)
-    return total
+    """u_0 + ... + u_upto.  The terms carry no power of q and never truncate
+    to zero, so the number of terms is given explicitly."""
+    return hyper_sum(order, lambda k: (ONE, 0, [[(a, 0), (b, k - 1)]], [(ONE, k)]),
+                     terms=upto + 1)
 
 
 def _qbin_shifted_sum(a, b, order: int) -> QSeries:
     """sum_k prod_{i<k}(a + b q^i) q^k / (q;q)_k -- the (a,b) -> (aq,bq) slice."""
-    total = QSeries.zero(order)
-    num = QSeries.one(order)
-    den_inv = QSeries.one(order)
-    k = 0
-    while k <= order:
-        if k:
-            num = num * QSeries.from_monomials([(a, 0), (b, k - 1)], order)
-            den_inv = den_inv * geometric_inverse(ONE, k, order)
-        total = total + QSeries.monomial(1, k, order) * num * den_inv
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (ONE, 1, [[(a, 0), (b, k - 1)]], [(ONE, k)]))
 
 
 def _entry8_lhs_sum(a, b, c, d, order: int) -> QSeries:
     """sum_k (b/a;q)_k (cq;q)_k / ((dq;q)_k (q;q)_k) * (aq)^k."""
     r = b / a
-    total = QSeries.zero(order)
-    num = QSeries.one(order)
-    den_inv = QSeries.one(order)
-    ak = ONE
-    k = 0
-    while k <= order:
-        if k:
-            ak = ak * a
-            num = (num
-                   * QSeries.from_monomials([(ONE, 0), (-r, k - 1)], order)
-                   * QSeries.from_monomials([(ONE, 0), (-c, k)], order))
-            den_inv = (den_inv
-                       * geometric_inverse(d, k, order)
-                       * geometric_inverse(ONE, k, order))
-        total = total + QSeries.monomial(ak, k, order) * num * den_inv
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (a, 1, [[(ONE, 0), (-r, k - 1)], [(ONE, 0), (-c, k)]],
+                                       [(d, k), (ONE, k)]))
 
 
 def _entry8_rhs_sum(a, b, c, d, order: int) -> QSeries:
@@ -193,108 +175,44 @@ def _entry8_rhs_sum(a, b, c, d, order: int) -> QSeries:
     * (ac)^k q^(2k) (-1)^k q^(k(k-1)/2)."""
     r = b / a
     s = d / c
-    total = QSeries.zero(order)
-    num = QSeries.one(order)
-    den_inv = QSeries.one(order)
-    xk = ONE
-    k = 0
-    while 2 * k + k * (k - 1) // 2 <= order:
-        if k:
-            xk = xk * (-a * c)
-            num = (num
-                   * QSeries.from_monomials([(ONE, 0), (-r, k - 1)], order)
-                   * QSeries.from_monomials([(ONE, 0), (-s, k - 1)], order))
-            den_inv = (den_inv
-                       * geometric_inverse(b, k, order)
-                       * geometric_inverse(d, k, order)
-                       * geometric_inverse(ONE, k, order))
-        total = total + QSeries.monomial(xk, 2 * k + k * (k - 1) // 2, order) * num * den_inv
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (
+        -a * c, k + 1, [[(ONE, 0), (-r, k - 1)], [(ONE, 0), (-s, k - 1)]],
+        [(b, k), (d, k), (ONE, k)]))
 
 
 def _entry6_rhs_sum(a, b, c, d, order: int) -> QSeries:
     """sum_k (aq;q)_k (d/c;q)_k / ((bq;q)_k (q;q)_k) * (cq)^k."""
     s = d / c
-    total = QSeries.zero(order)
-    num = QSeries.one(order)
-    den_inv = QSeries.one(order)
-    ck = ONE
-    k = 0
-    while k <= order:
-        if k:
-            ck = ck * c
-            num = (num
-                   * QSeries.from_monomials([(ONE, 0), (-a, k)], order)
-                   * QSeries.from_monomials([(ONE, 0), (-s, k - 1)], order))
-            den_inv = (den_inv
-                       * geometric_inverse(b, k, order)
-                       * geometric_inverse(ONE, k, order))
-        total = total + QSeries.monomial(ck, k, order) * num * den_inv
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (c, 1, [[(ONE, 0), (-a, k)], [(ONE, 0), (-s, k - 1)]],
+                                       [(b, k), (ONE, k)]))
 
 
 def _d0_lhs_sum(a, b, lam, c_coef, c_power: int, order: int) -> QSeries:
     """sum_k prod_{j<k}(a + lam q^j) (b C / lam)^k q^(C_power k + k(k+1)/2)
     / ((-bq;q)_k (q;q)_k), with C = c_coef * q^c_power."""
     x = b * c_coef / lam
-    total = QSeries.zero(order)
-    num = QSeries.one(order)
-    den_inv = QSeries.one(order)
-    xk = ONE
-    k = 0
-    while c_power * k + k * (k + 1) // 2 <= order:
-        if k:
-            xk = xk * x
-            num = num * QSeries.from_monomials([(a, 0), (lam, k - 1)], order)
-            den_inv = (den_inv
-                       * geometric_inverse(-b, k, order)
-                       * geometric_inverse(ONE, k, order))
-        total = total + QSeries.monomial(xk, c_power * k + k * (k + 1) // 2, order) * num * den_inv
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (x, c_power + k, [[(a, 0), (lam, k - 1)]],
+                                       [(-b, k), (ONE, k)]))
 
 
 def _d0_rhs_sum(a, b, lam, c_coef, c_power: int, order: int) -> QSeries:
     """sum_k (-lam/a;q)_k (-C;q)_k (ab/lam)^k q^k / (q;q)_k."""
     r = lam / a
     x = a * b / lam
-    total = QSeries.zero(order)
-    num = QSeries.one(order)
-    den_inv = QSeries.one(order)
-    xk = ONE
-    k = 0
-    while k <= order:
-        if k:
-            xk = xk * x
-            num = (num
-                   * QSeries.from_monomials([(ONE, 0), (r, k - 1)], order)
-                   * QSeries.from_monomials([(ONE, 0), (c_coef, c_power + k - 1)], order))
-            den_inv = den_inv * geometric_inverse(ONE, k, order)
-        total = total + QSeries.monomial(xk, k, order) * num * den_inv
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (
+        x, 1, [[(ONE, 0), (r, k - 1)], [(ONE, 0), (c_coef, c_power + k - 1)]], [(ONE, k)]))
 
 
-def _parity_sum(a, b, odd: bool, order: int) -> QSeries:
-    """Odd- or even-index part of sum_m (b/a;q)_m (aq)^m / (q;q)_m
-    (the (a, b) -> (aq, bq) slice of the Entry 11 split)."""
+def _parity_sums(a, b, order: int) -> Tuple[QSeries, QSeries]:
+    """Odd- and even-index parts of sum_m (b/a;q)_m (aq)^m / (q;q)_m
+    (the (a, b) -> (aq, bq) slice of the Entry 11 split).  The even part
+    steps two indices at a time; the odd part is the rest of the full sum."""
     r = b / a
-    total = QSeries.zero(order)
-    poch = QSeries.one(order)
-    qfac_inv = QSeries.one(order)
-    am = ONE
-    m = 0
-    while m <= order:
-        if m:
-            am = am * a
-            poch = poch * QSeries.from_monomials([(ONE, 0), (-r, m - 1)], order)
-            qfac_inv = qfac_inv * geometric_inverse(ONE, m, order)
-        if (m % 2 == 1) == odd:
-            total = total + QSeries.monomial(am, m, order) * poch * qfac_inv
-        m += 1
-    return total
+    full = hyper_sum(order, lambda m: (a, 1, [[(ONE, 0), (-r, m - 1)]], [(ONE, m)]))
+    even = hyper_sum(order, lambda k: (
+        a * a, 2, [[(ONE, 0), (-r, 2 * k - 2)], [(ONE, 0), (-r, 2 * k - 1)]],
+        [(ONE, 2 * k - 1), (ONE, 2 * k)]))
+    return full - even, even
 
 
 def _theta_products(a, b, order: int) -> Tuple[QSeries, QSeries]:
@@ -310,7 +228,7 @@ def _theta_products(a, b, order: int) -> Tuple[QSeries, QSeries]:
 # Continued-fraction element recipes
 
 
-def _make_rr_cf(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_rr_cf(p: ParamPoint, order: int) -> CFrac:
     one = QSeries.one(order)
 
     def elem(n: int):
@@ -318,27 +236,27 @@ def _make_rr_cf(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
             return one, one
         return QSeries.monomial(p.a, n - 1, order), one
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
 def _rr_targets(p: ParamPoint, order: int):
     return rr_sum(p.a, 1, order), rr_sum(p.a, 0, order)
 
 
-def _make_rr_special(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_rr_special(p: ParamPoint, order: int) -> CFrac:
     one = QSeries.one(order)
 
     def elem(n: int):
         return QSeries.monomial(1, n, order), one
 
-    return CFrac(one, elem, depth_hint=hint)
+    return CFrac(one, elem)
 
 
 def _rrs_targets(p: ParamPoint, order: int):
     return rr_sum(1, 0, order), rr_sum(1, 1, order)
 
 
-def _make_g2cf(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_g2cf(p: ParamPoint, order: int) -> CFrac:
     one = QSeries.one(order)
 
     def elem(n: int):
@@ -347,14 +265,14 @@ def _make_g2cf(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
         j = n - 1
         return QSeries.monomial(p.lam, j, order), _one_plus(p.b, j, order)
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
 def _g_targets(p: ParamPoint, order: int):
     return g_sum(p.b, p.lam, 1, order), g_sum(p.b, p.lam, 0, order)
 
 
-def _make_g1cf(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_g1cf(p: ParamPoint, order: int) -> CFrac:
     one = QSeries.one(order)
 
     def elem(n: int):
@@ -365,10 +283,10 @@ def _make_g1cf(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
             return QSeries.monomial(p.lam, j, order), one
         return QSeries.from_monomials([(p.lam, j), (p.b, j // 2)], order), one
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
-def _make_g3cf(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_g3cf(p: ParamPoint, order: int) -> CFrac:
     # b -> b q^2 slice of the displayed fraction 1/(1-b) + (b+lam q)/(1-b) + ...
     den = QSeries.from_monomials([(ONE, 0), (-p.b, 2)], order)
     one = QSeries.one(order)
@@ -378,7 +296,7 @@ def _make_g3cf(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
             return one, den
         return QSeries.from_monomials([(p.b, 2), (p.lam, m - 1)], order), den
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
 def _g3_targets(p: ParamPoint, order: int):
@@ -386,7 +304,7 @@ def _g3_targets(p: ParamPoint, order: int):
             g_sum(p.b, p.lam, 0, order, b_power=3))
 
 
-def _g3_displayed_cf(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _g3_displayed_cf(p: ParamPoint, order: int) -> CFrac:
     """The scalar display itself; used by the modified-approximant check
     and the Hirschhorn reduction, where no q-grading is needed."""
     one_minus_b = QSeries.constant(1 - p.b, order)
@@ -397,10 +315,10 @@ def _g3_displayed_cf(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
             return one, one_minus_b
         return QSeries.from_monomials([(p.b, 0), (p.lam, m - 1)], order), one_minus_b
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
-def _make_heine(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_heine(p: ParamPoint, order: int) -> CFrac:
     one = QSeries.one(order)
 
     def elem(n: int):
@@ -414,7 +332,7 @@ def _make_heine(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
             an = QSeries.from_monomials([(p.lam, j), (-p.a * p.b, 3 * j // 2)], order)
         return an, bn
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
 def _big_g_targets(p: ParamPoint, order: int):
@@ -422,7 +340,7 @@ def _big_g_targets(p: ParamPoint, order: int):
             big_g_sum(p.a, 0, p.b, p.lam, 0, 0, order))
 
 
-def _make_rg1(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_rg1(p: ParamPoint, order: int) -> CFrac:
     one = QSeries.one(order)
 
     def elem(n: int):
@@ -433,10 +351,10 @@ def _make_rg1(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
             return QSeries.from_monomials([(p.a, (j + 1) // 2), (p.lam, j)], order), one
         return QSeries.from_monomials([(p.b, j // 2), (p.lam, j)], order), one
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
-def _make_rg2(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_rg2(p: ParamPoint, order: int) -> CFrac:
     one = QSeries.one(order)
 
     def elem(n: int):
@@ -447,10 +365,10 @@ def _make_rg2(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
         bn = QSeries.from_monomials([(ONE, 0), (p.a, j + 1), (p.b, j)], order)
         return an, bn
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
-def _make_hirschhorn(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_hirschhorn(p: ParamPoint, order: int) -> CFrac:
     # a -> a q slice: partial numerators a q^2 + lam q^j stay q-graded while
     # the displayed form's a q + lam q^j would pin every valuation at 1.
     one = QSeries.one(order)
@@ -463,7 +381,7 @@ def _make_hirschhorn(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
         bn = QSeries.from_monomials([(ONE, 0), (-p.a, 2), (p.b, j)], order)
         return an, bn
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
 def _hirschhorn_targets(p: ParamPoint, order: int):
@@ -471,7 +389,7 @@ def _hirschhorn_targets(p: ParamPoint, order: int):
             big_g_sum(p.a, 1, p.b, p.lam, 0, 0, order))
 
 
-def _make_heine_a(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_heine_a(p: ParamPoint, order: int) -> CFrac:
     one = QSeries.one(order)
 
     def elem(n: int):
@@ -485,10 +403,10 @@ def _make_heine_a(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
             an = QSeries.from_monomials([(p.lam, j), (p.b, j // 2)], order)
         return an, bn
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
-def _make_eisenstein(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_eisenstein(p: ParamPoint, order: int) -> CFrac:
     one = QSeries.one(order)
 
     def elem(n: int):
@@ -499,14 +417,14 @@ def _make_eisenstein(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
             return QSeries.monomial(p.a, j, order), one
         return QSeries.from_monomials([(p.a, j), (-p.a, j // 2)], order), one
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
 def _eisenstein_targets(p: ParamPoint, order: int):
     return eisenstein_sum(p.a, 0, order), QSeries.one(order)
 
 
-def _make_prod_ratio(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_prod_ratio(p: ParamPoint, order: int) -> CFrac:
     one = QSeries.one(order)
 
     def elem(n: int):
@@ -517,7 +435,7 @@ def _make_prod_ratio(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
             return QSeries.monomial(1, j, order), one
         return QSeries.from_monomials([(ONE, j), (ONE, j // 2)], order), one
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
 def _prod_ratio_targets(p: ParamPoint, order: int):
@@ -526,7 +444,7 @@ def _prod_ratio_targets(p: ParamPoint, order: int):
     return num, den * den
 
 
-def _make_entry11(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
+def _make_entry11(p: ParamPoint, order: int) -> CFrac:
     # (a, b) -> (aq, bq) slice of Ramanujan's fraction with partial
     # denominators 1 - q^(2n-1).
     a, b = p.a, p.b
@@ -541,7 +459,7 @@ def _make_entry11(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
         bn = QSeries.from_monomials([(ONE, 0), (-ONE, 2 * n - 1)], order)
         return an, bn
 
-    return CFrac(QSeries.zero(order), elem, depth_hint=hint)
+    return CFrac(QSeries.zero(order), elem)
 
 
 def _entry11_targets(p: ParamPoint, order: int):
@@ -637,8 +555,7 @@ def _gfrac_sums2_small_pairs(p: ParamPoint, order: int):
 
 def _entry11_sumratio_pairs(p: ParamPoint, order: int):
     a, b = p.a, p.b
-    odd_s = _parity_sum(a, b, True, order)
-    even_s = _parity_sum(a, b, False, order)
+    odd_s, even_s = _parity_sums(a, b, order)
     pminus, pplus = _theta_products(a, b, order)
     return [("odd part times P+ = even part times P-", odd_s * pplus, even_s * pminus)]
 
@@ -712,8 +629,7 @@ def _prod_ratio_pairs(p: ParamPoint, order: int):
 
 def _entry11_pairs(p: ParamPoint, order: int):
     a, b = p.a, p.b
-    odd_s = _parity_sum(a, b, True, order)
-    even_s = _parity_sum(a, b, False, order)
+    odd_s, even_s = _parity_sums(a, b, order)
     c1 = c_sum(a, b, 1, order)
     c2 = c_sum(a, b, 2, order)
     one_m_q = QSeries.from_monomials([(ONE, 0), (-ONE, 1)], order)
@@ -839,7 +755,6 @@ _add(IdentityEntry(
     param_note="parameters are ignored; the fraction is parameter-free",
     make_cf=_make_rr_special,
     targets=_rrs_targets,
-    reduction_links=(("RR_CF", {"a": "1"}),),
 ))
 
 _add(IdentityEntry(
@@ -851,7 +766,6 @@ _add(IdentityEntry(
     constraints=(_L_NZ,),
     make_cf=_make_g2cf,
     targets=_g_targets,
-    reduction_links=(("RR_CF", {"b": "0", "l": "a"}),),
 ))
 
 _add(IdentityEntry(
@@ -886,7 +800,6 @@ _add(IdentityEntry(
     constraints=(_APL_NZ, _L_NZ),
     make_cf=_make_heine,
     targets=_big_g_targets,
-    reduction_links=(("G_CFRAC_g2", {"a": "0"}),),
 ))
 
 _add(IdentityEntry(
@@ -898,7 +811,6 @@ _add(IdentityEntry(
     constraints=(_APL_NZ, _B_L_NZ),
     make_cf=_make_rg1,
     targets=_big_g_targets,
-    reduction_links=(("G_CFRAC_g1", {"a": "0"}),),
 ))
 
 _add(IdentityEntry(
@@ -923,7 +835,6 @@ _add(IdentityEntry(
     make_cf=_make_hirschhorn,
     targets=_hirschhorn_targets,
     convergence="|aq/(1-aq)^2| < 1/4 for ordinary convergence",
-    reduction_links=(("G_CFRAC_g3", {"b": "0", "a": "b/q"}),),
 ))
 
 _add(IdentityEntry(
@@ -1301,7 +1212,7 @@ def check_reduction(source_id: str, target_id: str,
 
 
 def _check_cf(entry: IdentityEntry, p: ParamPoint, order: int, depth: int):
-    cf = entry.make_cf(p, order, depth)
+    cf = entry.make_cf(p, order)
     num, den = entry.targets(p, order)
     ratio = num * den.inverse()
     fm, rows = _cmp(approximant(cf, depth), ratio)
@@ -1355,18 +1266,14 @@ def _verify_entry(entry: IdentityEntry, point: ParamPoint,
 
 
 def verify_entry(entry: IdentityEntry, point: ParamPoint,
-                 order: Optional[int] = None,
-                 depth: Optional[int] = None) -> IdentityReport:
+                 order: int = DEFAULT_ORDER,
+                 depth: int = DEFAULT_DEPTH) -> IdentityReport:
     """Like :func:`verify`, but for an entry object (registered or not)."""
-    if order is None:
-        order = entry.default_order
-    if depth is None:
-        depth = entry.default_depth
     return _verify_entry(entry, point, order, depth)
 
 
 def verify(entry_id: str, point: ParamPoint,
-           order: Optional[int] = None, depth: Optional[int] = None) -> IdentityReport:
+           order: int = DEFAULT_ORDER, depth: int = DEFAULT_DEPTH) -> IdentityReport:
     """Check one identity at one exact parameter point.
 
     Returns a report rather than raising: constraint violations come back
@@ -1415,8 +1322,8 @@ def _run_entry(entry: IdentityEntry, seed: int, points: int,
 
 
 def run_entry(entry: IdentityEntry, seed: int = 0, points: int = 3,
-              order: Optional[int] = None,
-              depth: Optional[int] = None) -> List[IdentityReport]:
+              order: int = DEFAULT_ORDER,
+              depth: int = DEFAULT_DEPTH) -> List[IdentityReport]:
     """Exercise one entry at ``points`` sampled valid parameter points.
 
     Same semantics as the per-entry portion of :func:`verify_all`,
@@ -1425,15 +1332,11 @@ def run_entry(entry: IdentityEntry, seed: int = 0, points: int = 3,
     """
     if points < 1:
         raise ValueError("points must be at least 1")
-    if order is None:
-        order = entry.default_order
-    if depth is None:
-        depth = entry.default_depth
     return _run_entry(entry, seed, points, order, depth)
 
 
-def verify_all(seed: int = 0, points: int = 3, order: int = 40,
-               depth: int = 8) -> Tuple[List[IdentityReport], Dict]:
+def verify_all(seed: int = 0, points: int = 3, order: int = DEFAULT_ORDER,
+               depth: int = DEFAULT_DEPTH) -> Tuple[List[IdentityReport], Dict]:
     """Run every registered identity plus every reduction link.
 
     Each entry is exercised at ``points`` sampled parameter points that
@@ -1478,8 +1381,8 @@ def perturbed_entry(entry_id: str) -> IdentityEntry:
         raise ValueError(f"{entry_id} is not a continued-fraction entry")
     base = entry.make_cf
 
-    def wrapped(p: ParamPoint, order: int, hint: int = 8) -> CFrac:
-        cf = base(p, order, hint)
+    def wrapped(p: ParamPoint, order: int) -> CFrac:
+        cf = base(p, order)
 
         def elem(n: int):
             an, bn = cf.element(n)
@@ -1487,7 +1390,7 @@ def perturbed_entry(entry_id: str) -> IdentityEntry:
                 return an.scale(2), bn
             return an, bn
 
-        return CFrac(cf.b0, elem, depth_hint=cf.depth_hint)
+        return CFrac(cf.b0, elem)
 
     return replace(entry, make_cf=wrapped, pairs=None, recurrences=())
 

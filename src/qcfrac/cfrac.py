@@ -18,7 +18,7 @@ from typing import Callable, Tuple, Optional
 
 from .errors import HorizonExceeded, NonUnitDenominator, NumericBlowup
 from .rationals import rational
-from .series import QSeries, series_inv
+from .series import QSeries
 
 ElementFn = Callable[[int], Tuple[QSeries, QSeries]]
 
@@ -28,14 +28,11 @@ class CFrac:
 
     ``elements`` maps n >= 1 to the pair (a_n, b_n); results are cached per
     instance.  The working truncation order is taken from ``b0``.
-    ``depth_hint`` records a depth at which the fraction is usually compared
-    against its target (entries override it per identity).
     """
 
-    def __init__(self, b0: QSeries, elements: ElementFn, depth_hint: int = 8):
+    def __init__(self, b0: QSeries, elements: ElementFn):
         self.b0 = b0
         self.order = b0.order
-        self.depth_hint = depth_hint
         self._fn = elements
         self._memo = {}
 
@@ -72,14 +69,14 @@ class Convergents:
     def approximant(self) -> QSeries:
         if not self.den.is_unit():
             raise NonUnitDenominator(f"B_{self.n} has zero constant term")
-        return self.num * series_inv(self.den)
+        return self.num * self.den.inverse()
 
     def modified(self, w: QSeries) -> QSeries:
         """S_n(w) = (A_n + A_{n-1} w) / (B_n + B_{n-1} w)."""
         den = self.den + self.den_prev * w
         if not den.is_unit():
             raise NonUnitDenominator(f"modified B_{self.n} has zero constant term")
-        return (self.num + self.num_prev * w) * series_inv(den)
+        return (self.num + self.num_prev * w) * den.inverse()
 
 
 def approximant(cf: CFrac, n: int, order: Optional[int] = None) -> QSeries:
@@ -114,10 +111,10 @@ def tail(cf: CFrac, m: int) -> CFrac:
     """
     if m < 0:
         raise ValueError("tail index must be nonnegative")
-    return CFrac(QSeries.zero(cf.order), lambda n: cf.element(n + m), cf.depth_hint)
+    return CFrac(QSeries.zero(cf.order), lambda n: cf.element(n + m))
 
 
-def equivalence_unit_denominators(cf: CFrac, depth: Optional[int] = None) -> CFrac:
+def equivalence_unit_denominators(cf: CFrac) -> CFrac:
     """The equivalent fraction with every partial denominator scaled to 1.
 
     Uses the scaling r_n = 1/b_n (r_0 = 1, so b0 is untouched), which sends
@@ -130,15 +127,15 @@ def equivalence_unit_denominators(cf: CFrac, depth: Optional[int] = None) -> CFr
         an, bn = cf.element(n)
         if not bn.is_unit():
             raise NonUnitDenominator(f"b_{n} has zero constant term")
-        new_a = an * series_inv(bn)
+        new_a = an * bn.inverse()
         if n > 1:
             prev = cf.element(n - 1)[1]
             if not prev.is_unit():
                 raise NonUnitDenominator(f"b_{n - 1} has zero constant term")
-            new_a = new_a * series_inv(prev)
+            new_a = new_a * prev.inverse()
         return new_a, one
 
-    return CFrac(cf.b0, scaled, cf.depth_hint if depth is None else depth)
+    return CFrac(cf.b0, scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +213,6 @@ def worpitzky_index(ncf: NumericCF, bound: float = 0.25, horizon: int = 100) -> 
 # Rendering
 
 
-def _poly_str(s: QSeries) -> str:
-    parts = []
-    for i, c in enumerate(s.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        elif i == 1:
-            parts.append(f"{c}*q")
-        else:
-            parts.append(f"{c}*q^{i}")
-    return " + ".join(parts) if parts else "0"
-
-
 def render_cfrac(cf: CFrac, count: int = 3) -> str:
     """Flat display "b0 + a1/(b1 +) a2/(b2 +) ..." of the first few elements.
 
@@ -237,11 +220,11 @@ def render_cfrac(cf: CFrac, count: int = 3) -> str:
     """
     parts = []
     if any(c != 0 for c in cf.b0.coeffs):
-        parts.append(_poly_str(cf.b0) + " +")
+        parts.append(cf.b0.render_terms() + " +")
     for n in range(1, count + 1):
         an, bn = cf.element(n)
-        num = _poly_str(an)
+        num = an.render_terms()
         if " " in num:
             num = f"({num})"
-        parts.append(f"{num}/({_poly_str(bn)} +)")
+        parts.append(f"{num}/({bn.render_terms()} +)")
     return " ".join(parts) + " ..."

@@ -28,6 +28,14 @@ from .families import DEFAULT_POINT, Family, ParamPoint, build_family
 from .rationals import format_rational, parse_rational
 
 
+#: Largest accepted --order, --depth and --points.  Series storage grows with
+#: the order and the work with all three, so a value past these is a usage
+#: error rather than an allocation or a run that never ends.
+MAX_ORDER = 400
+MAX_DEPTH = 100
+MAX_POINTS = 50
+
+
 @dataclass
 class RunConfig:
     """Validated knobs shared by the subcommands."""
@@ -41,12 +49,13 @@ class RunConfig:
     output_path: Optional[str] = None
 
     def validate(self) -> Optional[str]:
-        if self.order < 4:
-            return "--order must be at least 4"
-        if self.depth < 1:
-            return "--depth must be at least 1"
-        if self.points < 1:
-            return "--points must be at least 1"
+        for name, value, low, high in (("order", self.order, 4, MAX_ORDER),
+                                       ("depth", self.depth, 1, MAX_DEPTH),
+                                       ("points", self.points, 1, MAX_POINTS)):
+            if value < low:
+                return f"--{name} must be at least {low}"
+            if value > high:
+                return f"--{name} must be at most {high}"
         return None
 
 
@@ -246,7 +255,7 @@ def cmd_approximants(args: argparse.Namespace) -> int:
         print(f"parameter point is out of range: {why}", file=sys.stderr)
         return 2
 
-    cf = entry.make_cf(point, cfg.order, cfg.depth)
+    cf = entry.make_cf(point, cfg.order)
     num, den = entry.targets(point, cfg.order)
     ratio = num * den.inverse()
 
@@ -316,16 +325,17 @@ def cmd_euclid(args: argparse.Namespace) -> int:
 
 def _add_common(sub: argparse.ArgumentParser, points: bool = False) -> None:
     sub.add_argument("--order", type=int, default=None,
-                     help="truncation order (default 40, minimum 4)")
+                     help=f"truncation order (default 40, 4 to {MAX_ORDER})")
     sub.add_argument("--depth", type=int, default=None,
-                     help="approximant/expansion depth (default 8)")
+                     help=f"approximant/expansion depth (default 8, at most {MAX_DEPTH})")
     sub.add_argument("--params", default=None,
                      help="exact parameters, e.g. a=1/3,b=1/5,l=1/7")
     sub.add_argument("--output", default=None, metavar="PATH",
                      help="write the report to PATH instead of stdout")
     if points:
         sub.add_argument("--points", type=int, default=None,
-                         help="sampled parameter points per identity (default 3)")
+                         help=f"sampled parameter points per identity (default 3, "
+                              f"at most {MAX_POINTS})")
         sub.add_argument("--seed", type=int, default=None,
                          help="seed for parameter sampling (default 0)")
 

@@ -92,7 +92,7 @@ class ExpansionTrace:
             f = factors[n - 1]
             return QSeries.monomial(f.coef, f.power, order), one
 
-        return CFrac(one, elem, depth_hint=len(factors))
+        return CFrac(one, elem)
 
     def factor_strings(self) -> List[str]:
         return [str(f) for f in self.factors]

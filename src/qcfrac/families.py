@@ -1,11 +1,12 @@
 """q-Pochhammer products and the classical q-series families built on them.
 
-Every sum here follows one pattern: the k-th term picks up one or two new
-polynomial factors in its numerator, one or two new geometric factors in its
-denominator, and an explicit power of q that grows at least linearly in k.
-The builders keep a running numerator product and a running denominator
-inverse, so a truncation to order N costs O(N) multiplications against sparse
-factors instead of O(N) fresh series inversions.
+Every sum here is a basic hypergeometric series: each term is the previous
+one times a rational function of q, namely a scalar, a power of q, a few
+sparse polynomial factors, and a few factors 1/(1 - c*q^p).  :func:`hyper_sum`
+is the one builder; each family is a short specification of its term ratio.
+The builder keeps a single running term and applies every factor in one
+O(N) pass at truncation order N, so no series is ever inverted or multiplied
+densely while a sum is built.
 
 Two families (G2 and C) are defined here on a q-shifted parameter slice; see
 :func:`build_family` for the convention and the reason.
@@ -16,11 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import List
+from typing import Callable, List, Optional
 
 from .errors import FormallyDivergentProduct, PoleAtParameter, UnsupportedShift
 from .rationals import ONE, ZERO, format_rational, rational
-from .series import QMonomial, QSeries, geometric_inverse, monomial_mul
+from .series import QMonomial, QSeries
 
 
 def _one_minus(coef, power: int, order: int) -> QSeries:
@@ -167,6 +168,47 @@ class Family(Enum):
             raise ValueError(f"unknown family {name!r} (expected one of: {valid})") from None
 
 
+def hyper_sum(order: int, ratio: Callable[[int], tuple],
+              terms: Optional[int] = None) -> QSeries:
+    """sum_{k>=0} t_k with t_0 = 1 and t_k = t_{k-1} * ratio(k), truncated at order.
+
+    ``ratio(k)`` returns ``(scalar, power, polys, dens)``: the step multiplies
+    by scalar * q^power, by every sparse polynomial in ``polys`` (each a list
+    of ``(c, p)`` monomials), and by 1/(1 - c*q^p) for every ``(c, p)`` in
+    ``dens``; p = 0 there is the scalar 1/(1 - c).  Each factor costs one
+    O(order) pass over the running term, with no series inversion.  The sum
+    stops at the first term that truncates to zero, since every later term
+    is a multiple of it, or after ``terms`` terms when given.
+    """
+    term = [ONE] + [ZERO] * order
+    total = list(term)
+    k = 1
+    while terms is None or k < terms:
+        scalar, power, polys, dens = ratio(k)
+        if min([power] + [p for poly in polys for _, p in poly] + [p for _, p in dens]) < 0:
+            raise ValueError("term ratio must not carry a negative power of q")
+        term = ([ZERO] * power + [scalar * c for c in term])[: order + 1]
+        for poly in polys:
+            out = [ZERO] * (order + 1)
+            for c, p in poly:
+                for i in range(p, order + 1):
+                    if term[i - p] != 0:
+                        out[i] = out[i] + c * term[i - p]
+            term = out
+        for c, p in dens:
+            if p == 0:
+                inv = ONE / (ONE - c)
+                term = [inv * t for t in term]
+            else:
+                for i in range(p, order + 1):
+                    term[i] = term[i] + c * term[i - p]
+        if not any(term):
+            break
+        total = [x + t for x, t in zip(total, term)]
+        k += 1
+    return QSeries(order, total)
+
+
 def rr_sum(a, s: int, order: int) -> QSeries:
     """sum_k a^k q^(k^2 + s*k) / (q; q)_k.
 
@@ -175,17 +217,7 @@ def rr_sum(a, s: int, order: int) -> QSeries:
     satisfy a three-term recurrence.
     """
     a = rational(a)
-    total = QSeries.zero(order)
-    den_inv = QSeries.one(order)
-    ak = ONE
-    k = 0
-    while k * (k + s) <= order:
-        if k:
-            ak = ak * a
-            den_inv = den_inv * geometric_inverse(ONE, k, order)
-        total = total + monomial_mul(QMonomial(ak, k * (k + s)), den_inv)
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (a, 2 * k - 1 + s, [], [(ONE, k)]))
 
 
 def g_sum(b, lam, lam_power: int, order: int, b_power: int = 1) -> QSeries:
@@ -196,23 +228,7 @@ def g_sum(b, lam, lam_power: int, order: int, b_power: int = 1) -> QSeries:
     """
     if b_power < 1:
         raise ValueError("b_power must be at least 1")
-    b = rational(b)
-    lam = rational(lam)
-    total = QSeries.zero(order)
-    den_inv = QSeries.one(order)
-    lk = ONE
-    k = 0
-    while k * k + lam_power * k <= order:
-        if k:
-            lk = lk * lam
-            den_inv = (
-                den_inv
-                * geometric_inverse(ONE, k, order)
-                * geometric_inverse(-b, b_power + k - 1, order)
-            )
-        total = total + monomial_mul(QMonomial(lk, k * k + lam_power * k), den_inv)
-        k += 1
-    return total
+    return g1_sum(b, b_power, lam, lam_power, order)
 
 
 def g1_sum(b, b_power: int, lam, lam_power: int, order: int) -> QSeries:
@@ -225,22 +241,8 @@ def g1_sum(b, b_power: int, lam, lam_power: int, order: int) -> QSeries:
     lam = rational(lam)
     if b_power == 0 and b == -1:
         raise PoleAtParameter("1 + b vanishes at b = -1")
-    total = QSeries.zero(order)
-    den_inv = QSeries.one(order)
-    lk = ONE
-    k = 0
-    while k * k + lam_power * k <= order:
-        if k:
-            lk = lk * lam
-            den_inv = den_inv * geometric_inverse(ONE, k, order)
-            p = b_power + k - 1
-            if p == 0:
-                den_inv = den_inv.scale(ONE / (ONE + b))
-            else:
-                den_inv = den_inv * geometric_inverse(-b, p, order)
-        total = total + monomial_mul(QMonomial(lk, k * k + lam_power * k), den_inv)
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (lam, 2 * k - 1 + lam_power, [],
+                                       [(ONE, k), (-b, b_power + k - 1)]))
 
 
 def g2_sum(b, lam, lam_power: int, order: int) -> QSeries:
@@ -251,17 +253,8 @@ def g2_sum(b, lam, lam_power: int, order: int) -> QSeries:
     """
     b = rational(b)
     lam = rational(lam)
-    total = QSeries.zero(order)
-    num = QSeries.one(order)
-    den_inv = QSeries.one(order)
-    k = 0
-    while k * (k + 1) // 2 <= order:
-        if k:
-            num = num * QSeries.from_monomials([(b, 0), (lam, lam_power + k - 1)], order)
-            den_inv = den_inv * geometric_inverse(ONE, k, order)
-        total = total + monomial_mul(QMonomial(ONE, k * (k + 1) // 2), num * den_inv)
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (ONE, k, [[(b, 0), (lam, lam_power + k - 1)]],
+                                       [(ONE, k)]))
 
 
 def big_g_sum(a, a_power: int, b, lam, lam_power: int, s: int, order: int) -> QSeries:
@@ -282,26 +275,9 @@ def big_g_sum(a, a_power: int, b, lam, lam_power: int, s: int, order: int) -> QS
     b = rational(b)
     lam = rational(lam)
     fold = min(a_power, 0)
-    a_base = a_power - fold
-    offset = lam_power - fold
-    total = QSeries.zero(order)
-    num = QSeries.one(order)
-    den_inv = QSeries.one(order)
-    k = 0
-    while k * (k + 1) // 2 + (s + fold) * k <= order:
-        if k:
-            num = num * QSeries.from_monomials(
-                [(a, a_base), (lam, offset + k - 1)], order
-            )
-            den_inv = (
-                den_inv
-                * geometric_inverse(ONE, k, order)
-                * geometric_inverse(-b, k, order)
-            )
-        expo = k * (k + 1) // 2 + (s + fold) * k
-        total = total + monomial_mul(QMonomial(ONE, expo), num * den_inv)
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (
+        ONE, k + s + fold, [[(a, a_power - fold), (lam, lam_power - fold + k - 1)]],
+        [(ONE, k), (-b, k)]))
 
 
 def g1ab_sum(a, b, lam, s: int, order: int, stagger: bool = False) -> QSeries:
@@ -319,24 +295,9 @@ def g1ab_sum(a, b, lam, s: int, order: int, stagger: bool = False) -> QSeries:
     if lam == 0:
         raise PoleAtParameter("terms divide by lam^k")
     t = 1 if stagger else 0
-    linv = ONE / lam
-    total = QSeries.zero(order)
-    num = QSeries.one(order)
-    den_inv = QSeries.one(order)
-    lk = ONE
-    k = 0
-    while k <= order:
-        if k:
-            lk = lk * linv
-            num = (
-                num
-                * QSeries.from_monomials([(a, 0), (lam, s + k - 1)], order)
-                * QSeries.from_monomials([(b, 0), (lam, s + t + k - 1)], order)
-            )
-            den_inv = den_inv * geometric_inverse(ONE, k, order)
-        total = total + monomial_mul(QMonomial(lk, k), num * den_inv)
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (
+        ONE / lam, 1, [[(a, 0), (lam, s + k - 1)], [(b, 0), (lam, s + t + k - 1)]],
+        [(ONE, k)]))
 
 
 def g2_big_sum(a, b, lam, s: int, order: int) -> QSeries:
@@ -358,44 +319,9 @@ def g2_big_sum(a, b, lam, s: int, order: int) -> QSeries:
     if a == 0 or lam == 0:
         raise PoleAtParameter("terms divide by powers of a and lam")
     c = a * b / lam
-    x = -lam / a
-    den_inv = QSeries.one(order)
-    if s >= 1:
-        total = QSeries.zero(order)
-        num = QSeries.one(order)
-        xk = ONE
-        k = 0
-        while k <= order:
-            if k:
-                xk = xk * x
-                num = num * _one_minus(c, s + k - 2, order)
-                den_inv = (
-                    den_inv
-                    * geometric_inverse(ONE, k, order)
-                    * geometric_inverse(-a, s + k, order)
-                )
-            total = total + monomial_mul(QMonomial(xk, k), num * den_inv)
-            k += 1
-        return total
-    # s = 0: the k-th term (k >= 1) reads
-    #   x^k (q - c) [prod_{j<k-1} (1 - c*q^j)] q^(k-1) / ((q;q)_k (-a*q;q)_k)
-    total = QSeries.one(order)
-    num = QSeries.one(order)
-    head = QSeries.from_monomials([(-c, 0), (ONE, 1)], order)
-    xk = ONE
-    k = 1
-    while k - 1 <= order:
-        xk = xk * x
-        if k >= 2:
-            num = num * _one_minus(c, k - 2, order)
-        den_inv = (
-            den_inv
-            * geometric_inverse(ONE, k, order)
-            * geometric_inverse(-a, k, order)
-        )
-        total = total + monomial_mul(QMonomial(xk, k - 1), head * num * den_inv)
-        k += 1
-    return total
+    # each step's q from (-L/a) times (1 - c q^(s+k-2)) is q - c q^(s+k-1)
+    return hyper_sum(order, lambda k: (-lam / a, 0, [[(ONE, 1), (-c, s + k - 1)]],
+                                       [(ONE, k), (-a, s + k)]))
 
 
 def gfrac5_den_sum(a, b, lam, order: int) -> QSeries:
@@ -414,24 +340,8 @@ def gfrac5_den_sum(a, b, lam, order: int) -> QSeries:
     if a == 0 or lam == 0:
         raise PoleAtParameter("terms divide by powers of a and lam")
     c = a * b / lam
-    x = -lam / a
-    total = QSeries.zero(order)
-    num = QSeries.one(order)
-    den_inv = QSeries.one(order)
-    xk = ONE
-    k = 0
-    while k <= order:
-        if k:
-            xk = xk * x
-            num = num * _one_minus(c, k - 1, order)
-            den_inv = (
-                den_inv
-                * geometric_inverse(ONE, k, order)
-                * geometric_inverse(-a, k, order)
-            )
-        total = total + monomial_mul(QMonomial(xk, k), num * den_inv)
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (-lam / a, 1, [[(ONE, 0), (-c, k - 1)]],
+                                       [(ONE, k), (-a, k)]))
 
 
 def c_sum(a, b, s: int, order: int) -> QSeries:
@@ -442,8 +352,9 @@ def c_sum(a, b, s: int, order: int) -> QSeries:
 
     with A = a*q and B = b*q.  On the slice the Pochhammer base is (b/a)*q^s
     (the slice powers cancel) and each term carries A^{2k} = a^{2k} q^{2k}.
-    Defined for s >= 1; needs a != 0.  The trailing product's denominators
-    depend on k, so it is rebuilt per term from sparse geometric inverses.
+    Defined for s >= 1; needs a != 0.  From one term to the next the
+    trailing product telescopes to (1 - q^(2k+1)) / (1 - q^(2k+2s-1)), whose
+    numerator cancels the last factor of (q^2; q)_{2k}.
     """
     if s < 1:
         raise UnsupportedShift("shift must be at least 1")
@@ -452,41 +363,15 @@ def c_sum(a, b, s: int, order: int) -> QSeries:
     if a == 0:
         raise PoleAtParameter("the Pochhammer base divides by a")
     c = b / a
-    a2 = a * a
-    total = QSeries.zero(order)
-    num = QSeries.one(order)
-    den_inv = QSeries.one(order)
-    ak = ONE
-    k = 0
-    while 2 * k <= order:
-        if k:
-            ak = ak * a2
-            num = num * _one_minus(c, s + 2 * k - 2, order) * _one_minus(c, s + 2 * k - 1, order)
-            den_inv = (
-                den_inv
-                * geometric_inverse(ONE, 2 * k, order)
-                * geometric_inverse(ONE, 2 * k + 1, order)
-            )
-        term = num * den_inv
-        for i in range(1, s):
-            term = term * _one_minus(ONE, 2 * i + 1, order)
-            term = term * geometric_inverse(ONE, 2 * k + 2 * i + 1, order)
-        total = total + monomial_mul(QMonomial(ak, 2 * k), term)
-        k += 1
-    return total
+    return hyper_sum(order, lambda k: (
+        a * a, 2, [[(ONE, 0), (-c, s + 2 * k - 2)], [(ONE, 0), (-c, s + 2 * k - 1)]],
+        [(ONE, 2 * k), (ONE, 2 * k + 2 * s - 1)]))
 
 
 def eisenstein_sum(a, s: int, order: int) -> QSeries:
     """Partial-theta sum: sum_k (-a)^k q^(k(k+1)/2 + s*k)."""
     a = rational(a)
-    terms = []
-    xk = ONE
-    k = 0
-    while k * (k + 1) // 2 + s * k <= order:
-        terms.append((xk, k * (k + 1) // 2 + s * k))
-        xk = xk * (-a)
-        k += 1
-    return QSeries.from_monomials(terms, order)
+    return hyper_sum(order, lambda k: (-a, k + s, [], []))
 
 
 def build_family(family: Family, s: int, point: ParamPoint, order: int) -> QSeries:

@@ -217,6 +217,10 @@ class QSeries:
 
     def render(self) -> str:
         """Human-readable form ``c0 + c1*q + ... + O(q^(N+1))``."""
+        return f"{self.render_terms()} + O(q^{self.order + 1})"
+
+    def render_terms(self) -> str:
+        """The nonzero terms ``c0 + c1*q + ...`` without the order bound, or ``0``."""
         parts = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -227,57 +231,17 @@ class QSeries:
                 parts.append(f"{format_rational(c)}*q")
             else:
                 parts.append(f"{format_rational(c)}*q^{i}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(q^{self.order + 1})"
-
-    def coeff_strings(self) -> list[str]:
-        """Coefficients as canonical rational strings (JSON-friendly)."""
-        return [format_rational(c) for c in self.coeffs]
+        return " + ".join(parts) if parts else "0"
 
 
 def _is_rat(x) -> bool:
     return type(x) is type(ZERO)
 
 
-# Module-level operation aliases: the class methods above are the
-# implementation, these names are the documented surface.
-
-def series_add(x: QSeries, y: QSeries) -> QSeries:
-    """Coefficient-wise sum, truncated to min(x.order, y.order)."""
-    return x + y
-
-
-def series_sub(x: QSeries, y: QSeries) -> QSeries:
-    return x - y
-
-
-def series_mul(x: QSeries, y: QSeries) -> QSeries:
-    """Cauchy product, truncated to min(x.order, y.order)."""
-    return x * y
-
-
-def series_inv(x: QSeries) -> QSeries:
-    """Inverse of a unit series; raises NonUnitSeries otherwise."""
-    return x.inverse()
-
-
-def monomial_mul(m: QMonomial, x: QSeries) -> QSeries:
-    """Multiply by c*q^p, truncating at x.order."""
-    n = x.order
-    out = [ZERO] * (n + 1)
-    c = rational(m.coef) if not _is_rat(m.coef) else m.coef
-    for i in range(n + 1 - m.power):
-        ci = x.coeffs[i]
-        if ci != 0:
-            out[i + m.power] = c * ci
-    return QSeries(n, out)
-
-
 def geometric_inverse(coef, power: int, order: int) -> QSeries:
     """inverse(1 - c*q^m) as the explicit geometric series, for m >= 1.
 
-    Sparse (order//m nonzero terms), which keeps running denominator products
-    in the family builders cheap.
+    Sparse (order//m nonzero terms), so products against it stay cheap.
     """
     if power < 1:
         raise ValueError("geometric inverse needs a positive power")

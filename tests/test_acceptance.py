@@ -7,6 +7,7 @@ except the explicitly numeric convergence check.
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,12 @@ from qcfrac.rationals import rational
 from qcfrac.series import QMonomial, QSeries, geometric_inverse
 
 
+#: ``verify all --order 40 --points 3 --seed 0 --format json`` as recorded
+#: with the benchmark; the report must reproduce it byte for byte.
+GOLDEN_VERIFY_ALL = (Path(__file__).resolve().parents[1]
+                     / "perfbench" / "golden" / "verify_all_o40_p3_s0.json")
+
+
 def _valid_points(entry, count, seed=0):
     out = []
     for p in sample_params(seed, 256):
@@ -44,6 +51,7 @@ def test_01_full_catalog_verifies_with_zero_failures(capsys):
     elapsed = time.perf_counter() - started
     out = capsys.readouterr().out
     assert code == 0
+    assert out == GOLDEN_VERIFY_ALL.read_text(encoding="utf-8")
     doc = json.loads(out)
     assert doc["summary"]["fail"] == 0
     entry_ids = {r["id"] for r in doc["reports"] if "->" not in r["id"]}
@@ -73,7 +81,7 @@ def test_03_three_term_recurrences_hold_across_shifts():
 
 def test_04_order_of_contact_exceeds_depth_and_grows():
     point = ParamPoint(1, rational(1, 2), rational(1, 3))
-    cf = catalog.lookup("RR_CF").make_cf(point, 100, 12)
+    cf = catalog.lookup("RR_CF").make_cf(point, 100)
     ratio = rr_sum(1, 1, 100) * rr_sum(1, 0, 100).inverse()
     contacts = []
     for n in range(1, 13):
@@ -88,7 +96,7 @@ def test_04_order_of_contact_exceeds_depth_and_grows():
 def test_05_modified_approximants_with_true_tails_are_constant():
     order = 40
     for a in (rational(1), rational(1, 2)):
-        cf = catalog.lookup("RR_CF").make_cf(ParamPoint(a, 1, 1), order, 10)
+        cf = catalog.lookup("RR_CF").make_cf(ParamPoint(a, 1, 1), order)
         ratio = rr_sum(a, 1, order) * rr_sum(a, 0, order).inverse()
         for n in range(1, 11):
             wn = (QSeries.monomial(a, n, order)
@@ -100,7 +108,7 @@ def test_05_modified_approximants_with_true_tails_are_constant():
 def test_06_equivalence_transform_matches_element_by_element():
     entry = catalog.lookup("G_CFRAC_g2")
     point = _valid_points(entry, 1, seed=11)[0]
-    cf = entry.make_cf(point, 60, 8)
+    cf = entry.make_cf(point, 60)
     eq = equivalence_unit_denominators(cf)
     for n in range(1, 16):
         assert approximant(cf, n).first_mismatch(approximant(eq, n)) is None
@@ -120,7 +128,7 @@ def test_07_product_identities_exact_to_order_sixty():
 
 def test_08_numeric_convergence_within_worpitzky_window():
     point = ParamPoint(1, rational(1, 2), rational(1, 3))
-    cf = catalog.lookup("RR_CF").make_cf(point, 40, 8)
+    cf = catalog.lookup("RR_CF").make_cf(point, 40)
     q0 = rational(1, 2)
     assert worpitzky_index(numeric_cf(tail(cf, 1), q0)) == 2
     ncf = numeric_cf(cf, q0)

@@ -50,8 +50,8 @@ def test_entry_passes_at_sampled_point(entry):
     point = first_valid_point(entry)
     report = catalog.verify(entry.id, point)
     assert report.status == "pass", (report.reason, report.first_mismatch_power)
-    assert report.order == entry.default_order
-    assert report.depth == entry.default_depth
+    assert report.order == catalog.DEFAULT_ORDER
+    assert report.depth == catalog.DEFAULT_DEPTH
 
 
 def test_verify_uses_entry_defaults():

@@ -29,7 +29,7 @@ POINT = ParamPoint(A, rational(1, 2), rational(1, 3))
 
 
 def rr_cf(order, a=A):
-    return lookup("RR_CF").make_cf(ParamPoint(a, 1, 1), order, 8)
+    return lookup("RR_CF").make_cf(ParamPoint(a, 1, 1), order)
 
 
 def test_element_indexing():
@@ -106,7 +106,7 @@ def test_tail_composition():
 
 
 def test_equivalence_preserves_approximants():
-    cf = lookup("G_CFRAC_g2").make_cf(POINT, 40, 8)
+    cf = lookup("G_CFRAC_g2").make_cf(POINT, 40)
     eq = equivalence_unit_denominators(cf)
     for n in range(1, 16):
         assert approximant(cf, n).first_mismatch(approximant(eq, n)) is None
@@ -116,7 +116,7 @@ def test_equivalence_preserves_approximants():
 def test_equivalence_element_formula():
     # the third element picks up 1/((1+bq)(1+bq^2))
     b, lam = POINT.b, POINT.lam
-    eq = equivalence_unit_denominators(lookup("G_CFRAC_g2").make_cf(POINT, 30, 8))
+    eq = equivalence_unit_denominators(lookup("G_CFRAC_g2").make_cf(POINT, 30))
     expect = (QSeries.monomial(lam, 2, 30)
               * geometric_inverse(-b, 1, 30)
               * geometric_inverse(-b, 2, 30))

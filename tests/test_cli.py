@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qcfrac.cli import main, parse_params
+from qcfrac.cli import MAX_DEPTH, MAX_ORDER, MAX_POINTS, RunConfig, main, parse_params
 from qcfrac.families import ParamPoint
 from qcfrac.rationals import rational
 
@@ -48,6 +48,16 @@ def test_verify_rejects_bad_config(capsys):
     assert run(capsys, "verify", "RR_CF", "--order", "3")[0] == 2
     assert run(capsys, "verify", "RR_CF", "--depth", "0")[0] == 2
     assert run(capsys, "verify", "RR_CF", "--points", "0")[0] == 2
+    # upper limits: checked before anything is allocated or computed
+    assert run(capsys, "verify", "RR_CF", "--order", "1000000000")[0] == 2
+    assert run(capsys, "verify", "RR_CF", "--order", str(MAX_ORDER + 1))[0] == 2
+    assert run(capsys, "verify", "RR_CF", "--depth", str(MAX_DEPTH + 1))[0] == 2
+    assert run(capsys, "verify", "all", "--points", str(MAX_POINTS + 1))[0] == 2
+    assert run(capsys, "expand", "--num", "R:0", "--den", "R:1",
+               "--order", "1000000000")[0] == 2
+    assert run(capsys, "approximants", "RR_CF", "--depth", str(MAX_DEPTH + 1))[0] == 2
+    assert RunConfig(order=MAX_ORDER, depth=MAX_DEPTH, points=MAX_POINTS).validate() is None
+    assert RunConfig(order=MAX_ORDER + 1).validate() == f"--order must be at most {MAX_ORDER}"
 
 
 def test_verify_rejects_float_params(capsys):

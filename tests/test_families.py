@@ -1,6 +1,8 @@
 """Basic hypergeometric building blocks: Pochhammer products and the sum
 families behind the continued-fraction identities."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +15,11 @@ from qcfrac.families import (
     build_family,
     c_sum,
     eisenstein_sum,
+    g1_sum,
+    g1ab_sum,
+    g2_big_sum,
     g_sum,
+    gfrac5_den_sum,
     limit_pochhammer_scaled,
     pochhammer_finite,
     pochhammer_infinite,
@@ -115,6 +121,123 @@ def test_c_sum_is_unit():
 def test_c_sum_pole_at_zero():
     with pytest.raises(PoleAtParameter):
         c_sum(0, rational(1, 3), 1, 10)
+    with pytest.raises(PoleAtParameter):
+        g1_sum(-1, 0, rational(1, 3), 0, 10)
+    with pytest.raises(PoleAtParameter):
+        g1ab_sum(rational(1, 2), rational(1, 3), 0, 0, 10)
+    with pytest.raises(PoleAtParameter):
+        g2_big_sum(0, rational(1, 3), rational(1, 5), 1, 10)
+
+
+REF_ORDER = 16
+
+
+def _poly(*terms):
+    return QSeries.from_monomials(terms, REF_ORDER)
+
+
+def _prod(factors):
+    out = QSeries.one(REF_ORDER)
+    for f in factors:
+        out = out * f
+    return out
+
+
+@lru_cache(maxsize=None)
+def _poch(coef, power, k):
+    return pochhammer_finite(QMonomial(coef, power), k, REF_ORDER)
+
+
+def _reference(term):
+    """sum_k term(k), one literal term at a time.  Every family's k-th term
+    has minimal power at least k - 1, so k <= REF_ORDER + 1 covers the order."""
+    total = QSeries.zero(REF_ORDER)
+    for k in range(REF_ORDER + 2):
+        total = total + term(k)
+    return total
+
+
+def _ref_g(b, b_power, lam, lam_power):
+    # lam^k q^(lam_power*k + k^2) / ((q; q)_k (-b*q^b_power; q)_k)
+    return _reference(lambda k: QSeries.monomial(lam ** k, lam_power * k + k * k, REF_ORDER)
+                      * (_poch(1, 1, k) * _poch(-b, b_power, k)).inverse())
+
+
+def _ref_big_g(a, a_power, b, lam, lam_power, s):
+    def term(k):
+        if a_power < 0:  # q^(-1) leaves each factor and joins the exponent
+            num = _prod(_poly((a, 0), (lam, lam_power + j + 1)) for j in range(k))
+            expo = k * (k - 1) // 2 + s * k
+        else:
+            num = _prod(_poly((a, a_power), (lam, lam_power + j)) for j in range(k))
+            expo = k * (k + 1) // 2 + s * k
+        return (num * QSeries.monomial(1, expo, REF_ORDER)
+                * (_poch(1, 1, k) * _poch(-b, 1, k)).inverse())
+    return _reference(term)
+
+
+def _ref_family(family, s, p):
+    a, b, lam = p.a, p.b, p.lam
+    if family is Family.R:
+        return _reference(lambda k: QSeries.monomial(a ** k, k * k + s * k, REF_ORDER)
+                          * _poch(1, 1, k).inverse())
+    if family is Family.g:
+        return _ref_g(b, 1, lam, s)
+    if family is Family.g1:
+        return _ref_g(b, s, lam, s)
+    if family is Family.g2:
+        return _reference(lambda k: _prod(_poly((b, 0), (lam, s + j)) for j in range(k))
+                          * QSeries.monomial(1, k * (k + 1) // 2, REF_ORDER)
+                          * _poch(1, 1, k).inverse())
+    if family is Family.G:
+        return _ref_big_g(a, 0, b, lam, 0, s)
+    if family in (Family.G1A, Family.G1B):
+        t = 1 if family is Family.G1B else 0
+        return _reference(lambda k: _prod(_poly((a, 0), (lam, s + j)) for j in range(k))
+                          * _prod(_poly((b, 0), (lam, s + t + j)) for j in range(k))
+                          * QSeries.monomial(lam ** -k, k, REF_ORDER)
+                          * _poch(1, 1, k).inverse())
+    if family is Family.G2:
+        # (c q^(s-1); q)_k x^k q^k with one q moved into each factor
+        c, x = a * b / lam, -lam / a
+        return _reference(lambda k: _prod(_poly((1, 1), (-c, s + j)) for j in range(k))
+                          * QSeries.constant(x ** k, REF_ORDER)
+                          * (_poch(1, 1, k) * _poch(-a, s + 1, k)).inverse())
+    if family is Family.C:
+        c = b / a
+        return _reference(lambda k: _poch(c, s, 2 * k)
+                          * QSeries.monomial(a ** (2 * k), 2 * k, REF_ORDER)
+                          * _prod(_poly((1, 0), (-1, 2 * i + 1)) for i in range(1, s))
+                          * (_poch(1, 2, 2 * k)
+                             * _prod(_poly((1, 0), (-1, 2 * k + 2 * i + 1))
+                                     for i in range(1, s))).inverse())
+    if family is Family.Eisenstein:
+        return _reference(lambda k: QSeries.monomial((-a) ** k, k * (k + 1) // 2 + s * k,
+                                                     REF_ORDER))
+    raise AssertionError(family)
+
+
+def test_builders_match_term_by_term_reference():
+    """Every public builder against its docstring formula, summed term by
+    term with fresh Pochhammer products and one inverse per term."""
+    for p in sample_params(0, 3):  # no point has b = -1, a pole of g1(0)
+        a, b, lam = p.a, p.b, p.lam
+        cases = [(f"{fam.name}({s})", build_family(fam, s, p, REF_ORDER),
+                  _ref_family(fam, s, p))
+                 for fam in Family for s in range(4) if not (fam is Family.C and s == 0)]
+        cases.append(("g b_power=3", g_sum(b, lam, 0, REF_ORDER, b_power=3),
+                      _ref_g(b, 3, lam, 0)))
+        for a_power in (-1, 0, 1):
+            cases.append((f"G a_power={a_power}",
+                          big_g_sum(a, a_power, b, lam, 1, 1, REF_ORDER),
+                          _ref_big_g(a, a_power, b, lam, 1, 1)))
+        c, x = a * b / lam, -lam / a
+        cases.append(("gfrac5", gfrac5_den_sum(a, b, lam, REF_ORDER),
+                      _reference(lambda k: _poch(c, 0, k)
+                                 * QSeries.monomial(x ** k, k, REF_ORDER)
+                                 * (_poch(1, 1, k) * _poch(-a, 1, k)).inverse())))
+        for name, got, want in cases:
+            assert got == want, (name, str(p), got.first_mismatch(want))
 
 
 def test_family_parse():
