@@ -49,7 +49,7 @@ from .families import (
     rr_sum,
     sample_params,
 )
-from .rationals import ONE, format_rational, parse_rational, rational
+from .rationals import ONE, ZERO, format_rational, parse_rational, rational
 from .series import QMonomial, QSeries, geometric_inverse
 
 CF_SERIES = "cf_equals_series_ratio"
@@ -152,10 +152,10 @@ def _qbin_term(a, b, k: int, order: int) -> QSeries:
 
 
 def _qbin_partial(a, b, upto: int, order: int) -> QSeries:
-    """u_0 + ... + u_upto.  The terms carry no power of q and never truncate
-    to zero, so the number of terms is given explicitly."""
-    return hyper_sum(order, lambda k: (ONE, 0, [[(a, 0), (b, k - 1)]], [(ONE, k)]),
-                     terms=upto + 1)
+    """u_0 + ... + u_upto.  The terms carry no power of q, so the ratio's
+    scalar is 0 past upto, which ends the sum."""
+    return hyper_sum(order, lambda k: (ONE if k <= upto else ZERO, 0,
+                                       [[(a, 0), (b, k - 1)]], [(ONE, k)]))
 
 
 def _qbin_shifted_sum(a, b, order: int) -> QSeries:

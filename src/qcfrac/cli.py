@@ -40,8 +40,8 @@ MAX_POINTS = 50
 class RunConfig:
     """Validated knobs shared by the subcommands."""
 
-    order: int = 40
-    depth: int = 8
+    order: int = catalog.DEFAULT_ORDER
+    depth: int = catalog.DEFAULT_DEPTH
     points: int = 3
     seed: int = 0
     params: Optional[ParamPoint] = None
@@ -325,9 +325,11 @@ def cmd_euclid(args: argparse.Namespace) -> int:
 
 def _add_common(sub: argparse.ArgumentParser, points: bool = False) -> None:
     sub.add_argument("--order", type=int, default=None,
-                     help=f"truncation order (default 40, 4 to {MAX_ORDER})")
+                     help=f"truncation order (default {catalog.DEFAULT_ORDER}, "
+                          f"4 to {MAX_ORDER})")
     sub.add_argument("--depth", type=int, default=None,
-                     help=f"approximant/expansion depth (default 8, at most {MAX_DEPTH})")
+                     help=f"approximant/expansion depth (default {catalog.DEFAULT_DEPTH}, "
+                          f"at most {MAX_DEPTH})")
     sub.add_argument("--params", default=None,
                      help="exact parameters, e.g. a=1/3,b=1/5,l=1/7")
     sub.add_argument("--output", default=None, metavar="PATH",

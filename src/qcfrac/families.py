@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from .errors import FormallyDivergentProduct, PoleAtParameter, UnsupportedShift
 from .rationals import ONE, ZERO, format_rational, rational
@@ -168,8 +168,7 @@ class Family(Enum):
             raise ValueError(f"unknown family {name!r} (expected one of: {valid})") from None
 
 
-def hyper_sum(order: int, ratio: Callable[[int], tuple],
-              terms: Optional[int] = None) -> QSeries:
+def hyper_sum(order: int, ratio: Callable[[int], tuple]) -> QSeries:
     """sum_{k>=0} t_k with t_0 = 1 and t_k = t_{k-1} * ratio(k), truncated at order.
 
     ``ratio(k)`` returns ``(scalar, power, polys, dens)``: the step multiplies
@@ -178,15 +177,18 @@ def hyper_sum(order: int, ratio: Callable[[int], tuple],
     ``dens``; p = 0 there is the scalar 1/(1 - c).  Each factor costs one
     O(order) pass over the running term, with no series inversion.  The sum
     stops at the first term that truncates to zero, since every later term
-    is a multiple of it, or after ``terms`` terms when given.
+    is a multiple of it; a step with power > order is such a term, and is
+    not built.
     """
     term = [ONE] + [ZERO] * order
     total = list(term)
     k = 1
-    while terms is None or k < terms:
+    while True:
         scalar, power, polys, dens = ratio(k)
         if min([power] + [p for poly in polys for _, p in poly] + [p for _, p in dens]) < 0:
             raise ValueError("term ratio must not carry a negative power of q")
+        if power > order:
+            break
         term = ([ZERO] * power + [scalar * c for c in term])[: order + 1]
         for poly in polys:
             out = [ZERO] * (order + 1)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qcfrac.cli import MAX_DEPTH, MAX_ORDER, MAX_POINTS, RunConfig, main, parse_params
-from qcfrac.families import ParamPoint
+from qcfrac.families import Family, ParamPoint
 from qcfrac.rationals import rational
 
 
@@ -127,6 +127,15 @@ def test_expand_rr_pair(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("f1: 1*q^1")
     assert lines[3].startswith("f4: 1*q^4")
+    # a shift past the order leaves only the first term of each family, and
+    # no term of that size may be built on the way
+    for family in Family:
+        assert run(capsys, "expand", "--num", f"{family.name}:1000000000",
+                   "--den", f"{family.name}:1")[0] == 0, family
+    # at order 40, R(s) is 1 for every s > 40 alike
+    huge = run(capsys, "expand", "--num", "R:1000000000", "--den", "R:0")
+    assert huge == run(capsys, "expand", "--num", "R:100", "--den", "R:0")
+    assert huge[0] == 0
 
 
 def test_expand_identical_ratio_terminates(capsys):
