@@ -1190,7 +1190,7 @@ def _find_link(source_id: str, target_id: str) -> ReductionLink:
 
 def check_reduction(source_id: str, target_id: str,
                     substitution: Optional[Dict[str, str]] = None,
-                    *, seed: int = 0, order: int = 40) -> bool:
+                    *, seed: int = 0, order: int = DEFAULT_ORDER) -> bool:
     """True when the source fraction specializes exactly onto the target.
 
     The optional substitution is documentation-level: when given it must

@@ -27,7 +27,9 @@ class CFrac:
     """b0 + a1/(b1 + a2/(b2 + ...)) with memoized series elements.
 
     ``elements`` maps n >= 1 to the pair (a_n, b_n); results are cached per
-    instance.  The working truncation order is taken from ``b0``.
+    instance, and so is the last walk of the convergents, which the next
+    approximant at the same or a greater depth continues.  The working
+    truncation order is taken from ``b0``.
     """
 
     def __init__(self, b0: QSeries, elements: ElementFn):
@@ -35,6 +37,7 @@ class CFrac:
         self.order = b0.order
         self._fn = elements
         self._memo = {}
+        self._walk = None
 
     def element(self, n: int) -> Tuple[QSeries, QSeries]:
         if n < 1:
@@ -42,6 +45,15 @@ class CFrac:
         if n not in self._memo:
             self._memo[n] = self._fn(n)
         return self._memo[n]
+
+    def convergents(self, n: int) -> "Convergents":
+        """The walk at depth n: the last walk continued, or a new one if it is past n."""
+        walk = self._walk
+        if walk is None or walk.n > n:
+            walk = self._walk = Convergents(self)
+        while walk.n < n:
+            walk.advance()
+        return walk
 
 
 class Convergents:
@@ -61,8 +73,8 @@ class Convergents:
         self.den = QSeries.one(cf.order)
 
     def advance(self) -> None:
+        an, bn = self.cf.element(self.n + 1)
         self.n += 1
-        an, bn = self.cf.element(self.n)
         self.num_prev, self.num = self.num, bn * self.num + an * self.num_prev
         self.den_prev, self.den = self.den, bn * self.den + an * self.den_prev
 
@@ -85,10 +97,7 @@ def approximant(cf: CFrac, n: int, order: Optional[int] = None) -> QSeries:
     ``order`` truncates the result, for comparing against series of a
     different working precision.
     """
-    walk = Convergents(cf)
-    for _ in range(n):
-        walk.advance()
-    out = walk.approximant()
+    out = cf.convergents(n).approximant()
     return out if order is None else out.truncate(min(order, out.order))
 
 
@@ -96,10 +105,7 @@ def modified_approximant(
     cf: CFrac, n: int, w: QSeries, order: Optional[int] = None
 ) -> QSeries:
     """Depth-n approximant with tail value w in place of the terminating 0."""
-    walk = Convergents(cf)
-    for _ in range(n):
-        walk.advance()
-    out = walk.modified(w)
+    out = cf.convergents(n).modified(w)
     return out if order is None else out.truncate(min(order, out.order))
 
 
@@ -219,7 +225,7 @@ def render_cfrac(cf: CFrac, count: int = 3) -> str:
     A zero leading term is omitted, so a pure fraction reads "a1/(b1 +) ...".
     """
     parts = []
-    if any(c != 0 for c in cf.b0.coeffs):
+    if not cf.b0.is_zero():
         parts.append(cf.b0.render_terms() + " +")
     for n in range(1, count + 1):
         an, bn = cf.element(n)

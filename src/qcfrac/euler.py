@@ -54,7 +54,7 @@ def euler_step(num: QSeries, den: QSeries) -> EulerStepResult:
 
 
 def _require_unit_one(s: QSeries, which: str) -> None:
-    if s.coeffs[0] != 1:
+    if s.nums[0] != s.den:
         raise NonUnitInput(f"{which} must have constant term exactly 1")
 
 

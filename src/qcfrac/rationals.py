@@ -1,7 +1,9 @@
 """Exact rational scalars.
 
-Coefficient arithmetic dominates the runtime of every series operation, so we
-use ``gmpy2.mpq`` when it is importable and fall back to the stdlib
+Scalars serve the parameters of every identity and the running terms of
+``families.hyper_sum``; series coefficients are Python ints over one common
+denominator (see :mod:`qcfrac.series`) and meet a scalar only at the edges.
+We use ``gmpy2.mpq`` when it is importable and fall back to the stdlib
 ``fractions.Fraction`` otherwise.  Both types share the semantics we rely on:
 exact arbitrary-precision values, automatic lowest terms, positive
 denominators, and a canonical ``p/q`` (or bare ``p``) string form.

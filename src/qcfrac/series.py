@@ -5,15 +5,27 @@ A :class:`QSeries` holds coefficients c0..cN for a fixed truncation order N
 All operations are exact and pure; mixing two series truncates the result to
 the smaller order, mirroring how precision actually propagates.
 
-Multiplication walks the sparser operand's nonzero coefficients, which makes
-products against polynomial factors like (1 - c*q^m) linear instead of
-quadratic — the Pochhammer builders and continued-fraction recurrences lean
-on this heavily.
+Storage is a tuple of Python ints ``nums`` over one positive int ``den``:
+ci = nums[i] / den.  The form is canonical: gcd(den, *nums) == 1, so the
+zero series has den == 1, and equal series have equal ``nums``, ``den`` and
+hash.  Every operation works on the ints and ends with one gcd pass; that
+includes ``truncate``, since dropping nonzero coefficients can enlarge the
+gcd.  Rationals appear only at the edges: the constructors convert them
+once, ``s[i]`` builds one, and ``coeffs`` builds the tuple on demand and
+caches it.
+
+Multiplication is a schoolbook product over the nonzero numerators of both
+operands, over the denominator A*B, so products against sparse factors like
+(1 - c*q^m) stay linear.  The inverse of P/D with p0 = P[0] != 0 is
+fraction-free: v0 = 1 and v_m = -sum_{k=1..m} p_k * p0^(k-1) * v_{m-k} give
+1/P = sum_m v_m q^m / p0^(m+1), so the inverse is
+sum_m D * v_m * p0^(N-m) q^m over p0^(N+1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import NonUnitSeries
@@ -37,10 +49,13 @@ class QMonomial:
         return f"{format_rational(self.coef)}*q^{self.power}"
 
 
+_set = object.__setattr__
+
+
 class QSeries:
     """Immutable truncated power series in q over the exact rationals."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den", "_coeffs")
 
     def __init__(self, order: int, coeffs: Iterable = ()):
         if order < 0:
@@ -48,9 +63,30 @@ class QSeries:
         cs = [rational(c) if not _is_rat(c) else c for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the order admits")
-        cs.extend([ZERO] * (order + 1 - len(cs)))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(int(c.denominator) for c in cs))
+        nums = [int(c.numerator) * (den // int(c.denominator)) for c in cs]
+        nums.extend([0] * (order + 1 - len(cs)))
+        self._init(order, nums, den)
+
+    def _init(self, order: int, nums, den: int) -> None:
+        """Store nums/den in canonical form (den > 0, gcd(den, *nums) == 1)."""
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        _set(self, "order", order)
+        _set(self, "nums", tuple(nums))
+        _set(self, "den", den)
+        _set(self, "_coeffs", None)
+
+    @classmethod
+    def _of(cls, order: int, nums, den: int) -> "QSeries":
+        """The series sum nums[i]/den q^i; len(nums) must be order + 1."""
+        out = object.__new__(cls)
+        out._init(order, nums, den)
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -69,16 +105,15 @@ class QSeries:
     @staticmethod
     def monomial(coef, power: int, order: int) -> "QSeries":
         """The series c*q^m at the given order (zero if m exceeds the order)."""
-        cs = [ZERO] * (order + 1)
-        if power <= order:
-            cs[power] = rational(coef)
-        return QSeries(order, cs)
+        return QSeries.from_monomials([(coef, power)], order)
 
     @staticmethod
     def from_monomials(terms: Sequence[tuple], order: int) -> "QSeries":
         """Sum of (coef, power) pairs, truncated to the order."""
         cs = [ZERO] * (order + 1)
         for coef, power in terms:
+            if power < 0:
+                raise ValueError("monomial power must be nonnegative")
             if power <= order:
                 cs[power] = cs[power] + rational(coef)
         return QSeries(order, cs)
@@ -88,92 +123,115 @@ class QSeries:
     def __setattr__(self, name, value):
         raise AttributeError("QSeries is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients c0..cN as exact rationals (built once, then cached)."""
+        if self._coeffs is None:
+            den = self.den
+            _set(self, "_coeffs", tuple(rational(x, den) for x in self.nums))
+        return self._coeffs
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"QSeries(order={self.order}, {self.render()})"
 
     def __getitem__(self, power: int):
-        return self.coeffs[power]
+        return rational(self.nums[power], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_unit(self) -> bool:
         """True when the constant term is nonzero, i.e. the series is invertible."""
-        return self.coeffs[0] != 0
+        return self.nums[0] != 0
 
     def valuation(self) -> Optional[int]:
         """Lowest power with a nonzero coefficient, or None for the zero truncation."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, x in enumerate(self.nums):
+            if x:
                 return i
         return None
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "QSeries") -> "QSeries":
+    def _aligned(self, other: "QSeries"):
+        """(n, a, b, den): both numerator lists through q^n over one denominator."""
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return QSeries(n, [a[i] + b[i] for i in range(n + 1)])
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return (n, [x * fa for x in self.nums[: n + 1]],
+                [y * fb for y in other.nums[: n + 1]], da * fa)
+
+    def __add__(self, other: "QSeries") -> "QSeries":
+        n, a, b, den = self._aligned(other)
+        return QSeries._of(n, [x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return QSeries(n, [a[i] - b[i] for i in range(n + 1)])
+        n, a, b, den = self._aligned(other)
+        return QSeries._of(n, [x - y for x, y in zip(a, b)], den)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.order, [-c for c in self.coeffs])
+        return QSeries._of(self.order, [-x for x in self.nums], self.den)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        # Iterate over the operand with fewer nonzero entries in range.
-        an = sum(1 for c in a[: n + 1] if c != 0)
-        bn = sum(1 for c in b[: n + 1] if c != 0)
-        if bn < an:
+        a = [(i, x) for i, x in enumerate(self.nums[: n + 1]) if x]
+        b = [(j, y) for j, y in enumerate(other.nums[: n + 1]) if y]
+        if len(b) < len(a):
             a, b = b, a
-        out = [ZERO] * (n + 1)
-        for i in range(n + 1):
-            ci = a[i]
-            if ci == 0:
-                continue
-            for j in range(n + 1 - i):
-                cj = b[j]
-                if cj != 0:
-                    out[i + j] = out[i + j] + ci * cj
-        return QSeries(n, out)
+        out = [0] * (n + 1)
+        for i, x in a:
+            for j, y in b:
+                if i + j > n:
+                    break
+                out[i + j] += x * y
+        return QSeries._of(n, out, self.den * other.den)
 
     def scale(self, factor) -> "QSeries":
         f = rational(factor) if not _is_rat(factor) else factor
-        return QSeries(self.order, [f * c for c in self.coeffs])
+        p = int(f.numerator)
+        return QSeries._of(self.order, [p * x for x in self.nums],
+                           self.den * int(f.denominator))
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse at the same order.
 
         Raises NonUnitSeries when the constant term vanishes.
         """
-        d = self.coeffs
-        if d[0] == 0:
+        p = self.nums
+        p0 = p[0]
+        if p0 == 0:
             raise NonUnitSeries("cannot invert a series with zero constant term")
         n = self.order
-        inv0 = ONE / d[0]
-        out = [ZERO] * (n + 1)
-        out[0] = inv0
+        # Nonzero p_k * p0^(k-1), k >= 1, for the recurrence on v.
+        steps = []
+        power = 1
+        for k in range(1, n + 1):
+            if p[k]:
+                steps.append((k, p[k] * power))
+            power *= p0
+        v = [1] + [0] * n
         for m in range(1, n + 1):
-            acc = ZERO
-            for k in range(1, m + 1):
-                dk = d[k]
-                if dk != 0:
-                    acc = acc + dk * out[m - k]
-            out[m] = -inv0 * acc
-        return QSeries(n, out)
+            acc = 0
+            for k, w in steps:
+                if k > m:
+                    break
+                acc += w * v[m - k]
+            v[m] = -acc
+        # Scale v_m by D * p0^(n-m), from m = n down; power is now p0^n.
+        scale = self.den
+        for m in range(n, -1, -1):
+            v[m] *= scale
+            scale *= p0
+        return QSeries._of(n, v, power * p0)
 
     def shift_down(self, m: int) -> "QSeries":
         """Divide by q^m, assuming the first m coefficients vanish.
@@ -182,38 +240,46 @@ class QSeries:
         """
         if m == 0:
             return self
-        if any(c != 0 for c in self.coeffs[:m]):
+        if any(self.nums[:m]):
             raise ValueError("series is not divisible by q^%d" % m)
-        return QSeries(self.order - m, self.coeffs[m:])
+        return QSeries._of(self.order - m, self.nums[m:], self.den)
 
     def truncate(self, order: int) -> "QSeries":
         if order >= self.order:
             return self
-        return QSeries(order, self.coeffs[: order + 1])
+        return QSeries._of(order, self.nums[: order + 1], self.den)
 
     def evaluate(self, q0):
         """Exact Horner evaluation of the truncated polynomial at a rational q0."""
         x = rational(q0) if not _is_rat(q0) else q0
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        r, s = int(x.numerator), int(x.denominator)
+        # acc / s^k is the Horner value of the top k+1 coefficients.
+        acc = 0
+        spow = 1
+        for c in reversed(self.nums):
+            acc = acc * r + c * spow
+            spow *= s
+        return rational(acc, spow // s * self.den)
 
     # -- comparison and rendering ------------------------------------------
 
     def first_mismatch(self, other: "QSeries") -> Optional[int]:
         """Lowest power where the two truncations disagree, up to the common order."""
-        n = min(self.order, other.order)
-        for i in range(n + 1):
-            if self.coeffs[i] != other.coeffs[i]:
-                return i
-        return None
+        return self._mismatch(other, min(self.order, other.order))
 
     def agrees_to(self, other: "QSeries", order: int) -> bool:
         """Exact coefficient agreement through q^order (must be within both truncations)."""
         if order > min(self.order, other.order):
             raise ValueError("agreement order exceeds the known truncation")
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(order + 1))
+        return self._mismatch(other, order) is None
+
+    def _mismatch(self, other: "QSeries", n: int) -> Optional[int]:
+        a, b = self.nums, other.nums
+        da, db = self.den, other.den
+        for i in range(n + 1):
+            if a[i] * db != b[i] * da:
+                return i
+        return None
 
     def render(self) -> str:
         """Human-readable form ``c0 + c1*q + ... + O(q^(N+1))``."""

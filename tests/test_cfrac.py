@@ -53,6 +53,15 @@ def test_determinant_formula():
         assert det.first_mismatch(expect) is None
 
 
+def test_approximants_in_any_depth_order_match_a_fresh_walk():
+    """The fraction keeps its last walk; going back to a smaller depth restarts it."""
+    cf = rr_cf(30)
+    w = QSeries.from_monomials([(1, 0), (A, 2)], 30)
+    for n in (3, 5, 5, 2, 0, 7):
+        assert approximant(cf, n) == approximant(rr_cf(30), n)
+        assert modified_approximant(cf, n, w) == modified_approximant(rr_cf(30), n, w)
+
+
 def test_depth_two_approximant_is_reciprocal():
     # 1/(1 + aq) exactly
     cf = rr_cf(16)

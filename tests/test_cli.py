@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, formats, determinism."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +218,29 @@ def test_help_and_usage_exit_codes(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys)[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def _benchmark_workloads():
+    """The benchmark's workload module, loaded from its file for its commands and checks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_contact_and_expand_reproduce_golden_digests(capsys):
+    """The seed-0 contact tables and Euler expansions match their recorded outputs."""
+    workloads = _benchmark_workloads()
+    golden = workloads.load_golden()
+    commands = workloads.contact_commands(0) + workloads.expand_commands(0)
+    assert len(commands) == 69
+    assert all(command.key in golden for command in commands)
+    problems = []
+    for command in commands:
+        code = main(list(command.argv))
+        why = workloads.problem(command, code, capsys.readouterr().out, golden)
+        if why is not None:
+            problems.append(f"{command.key}: {why}")
+    assert problems == []

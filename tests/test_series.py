@@ -1,5 +1,7 @@
 """Truncated power series arithmetic over exact rationals."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +33,10 @@ def test_constructors_and_indexing():
 def test_monomial_rejects_negative_power():
     with pytest.raises(ValueError):
         QMonomial(1, -1)
+    with pytest.raises(ValueError):
+        QSeries.monomial(1, -1, 5)
+    with pytest.raises(ValueError):
+        QSeries.from_monomials([(1, 0), (2, -2)], 5)
 
 
 def test_mul_truncates_at_order():
@@ -133,3 +139,73 @@ def test_render_uses_caret_powers():
     s = QSeries.from_monomials([(1, 0), (-1, 1), (rational(1, 2), 3)], 4)
     text = s.render()
     assert "q^3" in text and "1/2" in text
+
+
+# Reference kernel: one Fraction per coefficient, schoolbook product and the
+# inverse recurrence out[m] = -out[0] * sum_k d_k out[m-k].
+
+
+def ref_mul(a, b):
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def ref_inverse(d):
+    if d[0] == 0:
+        raise NonUnitSeries("zero constant term")
+    inv0 = 1 / d[0]
+    out = [inv0]
+    for m in range(1, len(d)):
+        out.append(-inv0 * sum(d[k] * out[m - k] for k in range(1, m + 1)))
+    return out
+
+
+wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+#: Coefficient lists c0..cN of mixed orders N, with zeros (also at c0) common.
+coeff_lists = st.integers(min_value=0, max_value=10).flatmap(
+    lambda n: st.lists(st.one_of(st.just(Fraction(0)), wide), min_size=n + 1, max_size=n + 1))
+
+
+@given(coeff_lists, coeff_lists, wide, st.integers(min_value=0, max_value=10))
+def test_kernel_matches_fraction_reference(ca, cb, f, k):
+    a, b = QSeries(len(ca) - 1, ca), QSeries(len(cb) - 1, cb)
+    assert (a * b).coeffs == tuple(ref_mul(ca, cb))
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(ca, cb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(ca, cb))
+    assert a.scale(f).coeffs == tuple(f * x for x in ca)
+    assert a.evaluate(f) == sum(c * f**i for i, c in enumerate(ca))
+    diff = [i for i, (x, y) in enumerate(zip(ca, cb)) if x != y]
+    assert a.first_mismatch(b) == (diff[0] if diff else None)
+    if ca[0] == 0:
+        with pytest.raises(NonUnitSeries):
+            a.inverse()
+    else:
+        assert a.inverse().coeffs == tuple(ref_inverse(ca))
+    m = min(k, a.order)
+    kept = ca[: len(ca) - m]
+    assert QSeries(a.order, [0] * m + kept).shift_down(m).coeffs == tuple(kept)
+    assert a.truncate(m).coeffs == tuple(ca[: m + 1])
+
+
+@given(coeff_lists, coeff_lists, st.integers(min_value=0, max_value=10))
+def test_equal_values_along_different_paths_are_equal_and_hash_alike(ca, cb, k):
+    a, b = QSeries(len(ca) - 1, ca), QSeries(len(cb) - 1, cb)
+    n = min(a.order, b.order)
+    k = min(k, n)
+    pairs = [
+        ((a * b).truncate(k), a.truncate(k) * b.truncate(k)),
+        ((a * b).truncate(k), QSeries(k, ref_mul(ca, cb)[: k + 1])),
+        ((a + b) - b, a.truncate(n)),
+        (a.scale(3).scale(Fraction(1, 3)), a),
+        (-(-a), a),
+        (a - a, QSeries.zero(a.order)),
+    ]
+    if a.is_unit():
+        pairs.append((a.inverse().inverse(), a))
+    for x, y in pairs:
+        assert x == y
+        assert hash(x) == hash(y)
