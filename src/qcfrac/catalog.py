@@ -188,7 +188,7 @@ def _entry6_rhs_sum(a, b, c, d, order: int) -> QSeries:
 
 
 def _d0_lhs_sum(a, b, lam, c_coef, c_power: int, order: int) -> QSeries:
-    """sum_k prod_{j<k}(a + lam q^j) (b C / lam)^k q^(C_power k + k(k+1)/2)
+    """sum_k prod_{j<k}(a + lam q^j) (b C / lam)^k q^(k(k+1)/2)
     / ((-bq;q)_k (q;q)_k), with C = c_coef * q^c_power."""
     x = b * c_coef / lam
     return hyper_sum(order, lambda k: (x, c_power + k, [[(a, 0), (lam, k - 1)]],
@@ -1348,12 +1348,8 @@ def verify_all(seed: int = 0, points: int = 3, order: int = DEFAULT_ORDER,
     if points < 1:
         raise ValueError("points must be at least 1")
     reports: List[IdentityReport] = []
-    suspected: List[str] = []
     for entry in register_all():
-        entry_reports = _run_entry(entry, seed, points, order, depth)
-        if any(r.escalated for r in entry_reports):
-            suspected.append(entry.id)
-        reports.extend(entry_reports)
+        reports.extend(_run_entry(entry, seed, points, order, depth))
     for link in REDUCTION_LINKS:
         started = time.perf_counter()
         point = sample_params(seed, 1)[0]
@@ -1364,13 +1360,18 @@ def verify_all(seed: int = 0, points: int = 3, order: int = DEFAULT_ORDER,
             fm, "" if fm is None else f"reduction differs at q^{fm}",
             elapsed=time.perf_counter() - started))
     reports.sort(key=lambda r: r.id)
-    summary = {
+    return reports, summarize(reports)
+
+
+def summarize(reports: Sequence[IdentityReport]) -> Dict:
+    """Pass, fail and skip counts, and under ``suspected_cancellation`` the
+    sorted ids of entries whose mixed verdicts triggered an escalation."""
+    return {
         "pass": sum(r.status == "pass" for r in reports),
         "fail": sum(r.status == "fail" for r in reports),
         "skip": sum(r.status == "skipped" for r in reports),
-        "suspected_cancellation": sorted(suspected),
+        "suspected_cancellation": sorted({r.id for r in reports if r.escalated}),
     }
-    return reports, summary
 
 
 def perturbed_entry(entry_id: str) -> IdentityEntry:
@@ -1473,6 +1474,7 @@ __all__ = [
     "reports_from_json",
     "reports_to_json",
     "run_entry",
+    "summarize",
     "verify",
     "verify_all",
     "verify_entry",

@@ -160,13 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             reports = [catalog.verify_entry(entry, cfg.params, cfg.order, cfg.depth)]
         else:
             reports = catalog.run_entry(entry, cfg.seed, cfg.points, cfg.order, cfg.depth)
-        summary = {
-            "pass": sum(r.status == "pass" for r in reports),
-            "fail": sum(r.status == "fail" for r in reports),
-            "skip": sum(r.status == "skipped" for r in reports),
-            "suspected_cancellation":
-                sorted({r.id for r in reports if r.escalated}),
-        }
+        summary = catalog.summarize(reports)
 
     if cfg.format == "json":
         run = {"seed": cfg.seed, "points": cfg.points,
@@ -304,10 +298,7 @@ def cmd_euclid(args: argparse.Namespace) -> int:
     if value <= 0:
         print("euclid expects a positive rational", file=sys.stderr)
         return 2
-    from .rationals import as_fraction
-
-    frac = as_fraction(value)
-    quotients = euclid_cf(frac.numerator, frac.denominator)
+    quotients = euclid_cf(value.numerator, value.denominator)
     if len(quotients) == 1:
         display = f"[{quotients[0]}]"
     else:

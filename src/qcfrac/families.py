@@ -4,9 +4,10 @@ Every sum here is a basic hypergeometric series: each term is the previous
 one times a rational function of q, namely a scalar, a power of q, a few
 sparse polynomial factors, and a few factors 1/(1 - c*q^p).  :func:`hyper_sum`
 is the one builder; each family is a short specification of its term ratio.
-The builder keeps a single running term and applies every factor in one
-O(N) pass at truncation order N, so no series is ever inverted or multiplied
-densely while a sum is built.
+The builder keeps a running term and total as :class:`QSeries` values and
+applies every factor as a product with a sparse series (a monomial, a
+polynomial, or a geometric series), so no series is ever inverted while a
+sum is built and coefficients stay inside the series kernel.
 
 Two families (G2 and C) are defined here on a q-shifted parameter slice; see
 :func:`build_family` for the convention and the reason.
@@ -20,8 +21,8 @@ from enum import Enum
 from typing import Callable, List
 
 from .errors import FormallyDivergentProduct, PoleAtParameter, UnsupportedShift
-from .rationals import ONE, ZERO, format_rational, rational
-from .series import QMonomial, QSeries
+from .rationals import ONE, format_rational, rational
+from .series import QMonomial, QSeries, geometric_inverse
 
 
 def _one_minus(coef, power: int, order: int) -> QSeries:
@@ -174,14 +175,15 @@ def hyper_sum(order: int, ratio: Callable[[int], tuple]) -> QSeries:
     ``ratio(k)`` returns ``(scalar, power, polys, dens)``: the step multiplies
     by scalar * q^power, by every sparse polynomial in ``polys`` (each a list
     of ``(c, p)`` monomials), and by 1/(1 - c*q^p) for every ``(c, p)`` in
-    ``dens``; p = 0 there is the scalar 1/(1 - c).  Each factor costs one
-    O(order) pass over the running term, with no series inversion.  The sum
-    stops at the first term that truncates to zero, since every later term
-    is a multiple of it; a step with power > order is such a term, and is
-    not built.
+    ``dens``; p = 0 there is the scalar 1/(1 - c).  Every factor is a
+    :class:`QSeries` product, so no series is inverted: a denominator factor
+    with p >= 1 is the sparse geometric series of order//p + 1 terms, and
+    its product with the running term costs about order * (order//p + 1)
+    integer multiply-adds.  The sum stops at the first term that truncates
+    to zero, since every later term is a multiple of it; a step with
+    power > order is such a term, and is not built.
     """
-    term = [ONE] + [ZERO] * order
-    total = list(term)
+    term = total = QSeries.one(order)
     k = 1
     while True:
         scalar, power, polys, dens = ratio(k)
@@ -189,26 +191,16 @@ def hyper_sum(order: int, ratio: Callable[[int], tuple]) -> QSeries:
             raise ValueError("term ratio must not carry a negative power of q")
         if power > order:
             break
-        term = ([ZERO] * power + [scalar * c for c in term])[: order + 1]
+        term = term * QSeries.monomial(scalar, power, order)
         for poly in polys:
-            out = [ZERO] * (order + 1)
-            for c, p in poly:
-                for i in range(p, order + 1):
-                    if term[i - p] != 0:
-                        out[i] = out[i] + c * term[i - p]
-            term = out
+            term = term * QSeries.from_monomials(poly, order)
         for c, p in dens:
-            if p == 0:
-                inv = ONE / (ONE - c)
-                term = [inv * t for t in term]
-            else:
-                for i in range(p, order + 1):
-                    term[i] = term[i] + c * term[i - p]
-        if not any(term):
+            term = term * geometric_inverse(c, p, order) if p else term.scale(ONE / (ONE - c))
+        if term.is_zero():
             break
-        total = [x + t for x, t in zip(total, term)]
+        total = total + term
         k += 1
-    return QSeries(order, total)
+    return total
 
 
 def rr_sum(a, s: int, order: int) -> QSeries:

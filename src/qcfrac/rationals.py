@@ -1,12 +1,12 @@
 """Exact rational scalars.
 
-Scalars serve the parameters of every identity and the running terms of
-``families.hyper_sum``; series coefficients are Python ints over one common
-denominator (see :mod:`qcfrac.series`) and meet a scalar only at the edges.
-We use ``gmpy2.mpq`` when it is importable and fall back to the stdlib
-``fractions.Fraction`` otherwise.  Both types share the semantics we rely on:
-exact arbitrary-precision values, automatic lowest terms, positive
-denominators, and a canonical ``p/q`` (or bare ``p``) string form.
+Scalars are the parameters of every identity and the coefficients of the
+term-ratio factors in ``families.hyper_sum``; series coefficients are Python
+ints over one common denominator (see :mod:`qcfrac.series`) and meet a
+scalar only at the edges.  Scalars are stdlib ``fractions.Fraction``
+values: exact, in lowest terms with a positive denominator, and printed in
+the canonical ``p/q`` (or bare ``p``) form.  Floats are rejected, so a
+scalar is always the exact value that was written.
 """
 
 from __future__ import annotations
@@ -14,24 +14,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-try:  # pragma: no cover - exercised implicitly by the import that succeeds
-    from gmpy2 import mpq as _mpq
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover
-    _mpq = Fraction
-    _HAVE_GMPY2 = False
-
 RationalLike = Union[int, Fraction, str]
 
 
-def rational(num: RationalLike = 0, den: int | None = None):
-    """Build an exact rational from an int, Fraction, ``p/q`` string, or pair."""
+def rational(num: RationalLike = 0, den: int | None = None) -> Fraction:
+    """Build an exact rational from an int, Fraction, ``p/q`` string, or pair.
+
+    Raises TypeError for a float, whose binary value is rarely the one meant.
+    """
+    if isinstance(num, float):
+        raise TypeError(f"floats are not exact rationals: {num!r}")
     if den is not None:
-        return _mpq(num, den)
+        return Fraction(num, den)
     if isinstance(num, str):
         return parse_rational(num)
-    return _mpq(num)
+    return Fraction(num)
 
 
 #: Additive and multiplicative identities, shared to avoid re-allocation.
@@ -39,7 +36,7 @@ ZERO = rational(0)
 ONE = rational(1)
 
 
-def parse_rational(text: str):
+def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` with optional sign.  Rejects floats and empty input.
 
     Raises ValueError for anything that is not an exact integer ratio.
@@ -48,9 +45,9 @@ def parse_rational(text: str):
     num, sep, den = s.partition("/")
     try:
         if sep:
-            value = _mpq(int(num), int(den))
+            value = Fraction(int(num), int(den))
         else:
-            value = _mpq(int(num))
+            value = Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational: {text!r}") from exc
     return value
@@ -61,11 +58,6 @@ def format_rational(value) -> str:
     return str(value)
 
 
-def as_fraction(value) -> Fraction:
-    """Convert back to a stdlib Fraction (handy for float-free comparisons)."""
-    return Fraction(int(value.numerator), int(value.denominator))
-
-
 def backend_name() -> str:
-    """Which arithmetic backend is active ("gmpy2" or "fractions")."""
-    return "gmpy2" if _HAVE_GMPY2 else "fractions"
+    """The scalar arithmetic in use; always "fractions" (stamped on benchmark results)."""
+    return "fractions"

@@ -10,9 +10,11 @@ ci = nums[i] / den.  The form is canonical: gcd(den, *nums) == 1, so the
 zero series has den == 1, and equal series have equal ``nums``, ``den`` and
 hash.  Every operation works on the ints and ends with one gcd pass; that
 includes ``truncate``, since dropping nonzero coefficients can enlarge the
-gcd.  Rationals appear only at the edges: the constructors convert them
-once, ``s[i]`` builds one, and ``coeffs`` builds the tuple on demand and
-caches it.
+gcd.  Rationals (``fractions.Fraction``) appear only at the edges: the
+constructors convert them once, ``s[i]`` builds one, and ``coeffs`` builds
+the tuple on demand and caches it.  No other module touches the storage;
+every q-series sum in the package is built from the operations below (see
+``families.hyper_sum``).
 
 Multiplication is a schoolbook product over the nonzero numerators of both
 operands, over the denominator A*B, so products against sparse factors like
@@ -25,6 +27,7 @@ sum_m D * v_m * p0^(N-m) q^m over p0^(N+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -63,8 +66,8 @@ class QSeries:
         cs = [rational(c) if not _is_rat(c) else c for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the order admits")
-        den = lcm(*(int(c.denominator) for c in cs))
-        nums = [int(c.numerator) * (den // int(c.denominator)) for c in cs]
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
         nums.extend([0] * (order + 1 - len(cs)))
         self._init(order, nums, den)
 
@@ -197,9 +200,9 @@ class QSeries:
 
     def scale(self, factor) -> "QSeries":
         f = rational(factor) if not _is_rat(factor) else factor
-        p = int(f.numerator)
+        p = f.numerator
         return QSeries._of(self.order, [p * x for x in self.nums],
-                           self.den * int(f.denominator))
+                           self.den * f.denominator)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse at the same order.
@@ -252,7 +255,7 @@ class QSeries:
     def evaluate(self, q0):
         """Exact Horner evaluation of the truncated polynomial at a rational q0."""
         x = rational(q0) if not _is_rat(q0) else q0
-        r, s = int(x.numerator), int(x.denominator)
+        r, s = x.numerator, x.denominator
         # acc / s^k is the Horner value of the top k+1 coefficients.
         acc = 0
         spow = 1
@@ -301,7 +304,7 @@ class QSeries:
 
 
 def _is_rat(x) -> bool:
-    return type(x) is type(ZERO)
+    return isinstance(x, Fraction)
 
 
 def geometric_inverse(coef, power: int, order: int) -> QSeries:

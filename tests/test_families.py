@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
+from qcfrac import catalog
 from qcfrac.errors import FormallyDivergentProduct, PoleAtParameter, UnsupportedShift
 from qcfrac.families import (
     DEFAULT_POINT,
@@ -148,11 +149,12 @@ def _poch(coef, power, k):
     return pochhammer_finite(QMonomial(coef, power), k, REF_ORDER)
 
 
-def _reference(term):
-    """sum_k term(k), one literal term at a time.  Every family's k-th term
-    has minimal power at least k - 1, so k <= REF_ORDER + 1 covers the order."""
+def _reference(term, count=REF_ORDER + 2):
+    """sum_{k<count} term(k), one literal term at a time.  Every family's k-th
+    term has minimal power at least k - 1, so k <= REF_ORDER + 1 covers the
+    order."""
     total = QSeries.zero(REF_ORDER)
-    for k in range(REF_ORDER + 2):
+    for k in range(count):
         total = total + term(k)
     return total
 
@@ -240,6 +242,66 @@ def test_builders_match_term_by_term_reference():
             assert got == want, (name, str(p), got.first_mismatch(want))
 
 
+def _mono(coef, power):
+    return QSeries.monomial(coef, power, REF_ORDER)
+
+
+def test_catalog_private_sums_match_term_by_term_reference():
+    """The catalog's own hyper_sum specifications against their docstring
+    formulas, at the parameter choices the catalog itself uses."""
+    for p in sample_params(0, 3):
+        a, b, lam = p.a, p.b, p.lam
+        c, d = lam, a * b  # as in the Entry 6 and Entry 8 pairs
+        r, t = b / a, d / c
+
+        def qbin(k):  # prod_{i<k}(a + b q^i) / (q; q)_k
+            return (_prod(_poly((a, 0), (b, i)) for i in range(k))
+                    * _poch(1, 1, k).inverse())
+
+        def parity(m):  # (b/a; q)_m (aq)^m / (q; q)_m
+            return _poch(r, 0, m) * _mono(a ** m, m) * _poch(1, 1, m).inverse()
+
+        zero = QSeries.zero(REF_ORDER)
+        odd, even = catalog._parity_sums(a, b, REF_ORDER)
+        cases = [
+            ("qbin_partial(2)", catalog._qbin_partial(a, b, 2, REF_ORDER),
+             _reference(qbin, 3)),
+            ("qbin_partial(order + 1)",
+             catalog._qbin_partial(a, b, REF_ORDER + 1, REF_ORDER),
+             _reference(qbin, REF_ORDER + 2)),
+            ("qbin_shifted", catalog._qbin_shifted_sum(a, b, REF_ORDER),
+             _reference(lambda k: qbin(k) * _mono(1, k))),
+            ("entry8_lhs", catalog._entry8_lhs_sum(a, b, c, d, REF_ORDER),
+             _reference(lambda k: _poch(r, 0, k) * _poch(c, 1, k) * _mono(a ** k, k)
+                        * (_poch(d, 1, k) * _poch(1, 1, k)).inverse())),
+            ("entry8_rhs", catalog._entry8_rhs_sum(a, b, c, d, REF_ORDER),
+             _reference(lambda k: _poch(r, 0, k) * _poch(t, 0, k)
+                        * _mono((-a * c) ** k, 2 * k + k * (k - 1) // 2)
+                        * (_poch(b, 1, k) * _poch(d, 1, k) * _poch(1, 1, k)).inverse())),
+            ("entry6_rhs", catalog._entry6_rhs_sum(a, b, c, d, REF_ORDER),
+             _reference(lambda k: _poch(a, 1, k) * _poch(t, 0, k) * _mono(c ** k, k)
+                        * (_poch(b, 1, k) * _poch(1, 1, k)).inverse())),
+            ("parity odd", odd, _reference(lambda m: parity(m) if m % 2 else zero)),
+            ("parity even", even, _reference(lambda m: zero if m % 2 else parity(m))),
+        ]
+        c_coef = lam / b  # as in the G-fraction sum pairs
+        for c_power in (0, 1):
+            x = b * c_coef / lam
+            cases.append((
+                f"d0_lhs C_power={c_power}",
+                catalog._d0_lhs_sum(a, b, lam, c_coef, c_power, REF_ORDER),
+                _reference(lambda k: _prod(_poly((a, 0), (lam, j)) for j in range(k))
+                           * _mono(x ** k, c_power * k + k * (k + 1) // 2)
+                           * (_poch(-b, 1, k) * _poch(1, 1, k)).inverse())))
+            cases.append((
+                f"d0_rhs C_power={c_power}",
+                catalog._d0_rhs_sum(a, b, lam, c_coef, c_power, REF_ORDER),
+                _reference(lambda k: _poch(-lam / a, 0, k) * _poch(-c_coef, c_power, k)
+                           * _mono((a * b / lam) ** k, k) * _poch(1, 1, k).inverse())))
+        for name, got, want in cases:
+            assert got == want, (name, str(p), got.first_mismatch(want))
+
+
 def test_family_parse():
     assert Family.parse("R") is Family.R
     assert Family.parse("G1A") is Family.G1A
@@ -265,6 +327,14 @@ def test_param_point_display():
     p = ParamPoint(1, rational(1, 2), rational(1, 3))
     assert p.as_dict() == {"a": "1", "b": "1/2", "l": "1/3"}
     assert str(p) == "a=1 b=1/2 l=1/3"
+
+
+def test_floats_are_rejected():
+    # 0.5 is exact in binary, yet still refused: 0.3 would not be
+    for build in (lambda: rational(0.5), lambda: ParamPoint(0.5, 1, 1),
+                  lambda: QSeries.constant(0.5, 3)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_sample_params_deterministic_and_nonzero():
