@@ -5,9 +5,10 @@ one times a rational function of q, namely a scalar, a power of q, a few
 sparse polynomial factors, and a few factors 1/(1 - c*q^p).  :func:`hyper_sum`
 is the one builder; each family is a short specification of its term ratio.
 The builder keeps a running term and total as :class:`QSeries` values and
-applies every factor as a product with a sparse series (a monomial, a
-polynomial, or a geometric series), so no series is ever inverted while a
-sum is built and coefficients stay inside the series kernel.
+advances the term by one :meth:`QSeries.times_ratio` step per index: an
+integer pass per factor, O(order) for each denominator factor, so no series
+is ever inverted or built as a factor while a sum is built, and
+coefficients stay inside the series kernel.
 
 Two families (G2 and C) are defined here on a q-shifted parameter slice; see
 :func:`build_family` for the convention and the reason.
@@ -22,7 +23,7 @@ from typing import Callable, List
 
 from .errors import FormallyDivergentProduct, PoleAtParameter, UnsupportedShift
 from .rationals import ONE, format_rational, rational
-from .series import QMonomial, QSeries, geometric_inverse
+from .series import QMonomial, QSeries
 
 
 def _one_minus(coef, power: int, order: int) -> QSeries:
@@ -175,27 +176,18 @@ def hyper_sum(order: int, ratio: Callable[[int], tuple]) -> QSeries:
     ``ratio(k)`` returns ``(scalar, power, polys, dens)``: the step multiplies
     by scalar * q^power, by every sparse polynomial in ``polys`` (each a list
     of ``(c, p)`` monomials), and by 1/(1 - c*q^p) for every ``(c, p)`` in
-    ``dens``; p = 0 there is the scalar 1/(1 - c).  Every factor is a
-    :class:`QSeries` product, so no series is inverted: a denominator factor
-    with p >= 1 is the sparse geometric series of order//p + 1 terms, and
-    its product with the running term costs about order * (order//p + 1)
-    integer multiply-adds.  The sum stops at the first term that truncates
-    to zero, since every later term is a multiple of it; a step with
-    power > order is such a term, and is not built.
+    ``dens``; p = 0 there is the scalar 1/(1 - c).  Each step is one
+    :meth:`QSeries.times_ratio`, so no series is inverted and no factor is
+    built as a series: a polynomial factor costs order * (its terms) integer
+    multiply-adds and a denominator factor O(order).  The sum stops at the
+    first term that truncates to zero (a zero scalar gives one), since every
+    later term is a multiple of it; a step with power > order is such a
+    term, and is not built.
     """
     term = total = QSeries.one(order)
     k = 1
     while True:
-        scalar, power, polys, dens = ratio(k)
-        if min([power] + [p for poly in polys for _, p in poly] + [p for _, p in dens]) < 0:
-            raise ValueError("term ratio must not carry a negative power of q")
-        if power > order:
-            break
-        term = term * QSeries.monomial(scalar, power, order)
-        for poly in polys:
-            term = term * QSeries.from_monomials(poly, order)
-        for c, p in dens:
-            term = term * geometric_inverse(c, p, order) if p else term.scale(ONE / (ONE - c))
+        term = term.times_ratio(*ratio(k))
         if term.is_zero():
             break
         total = total + term

@@ -22,6 +22,17 @@ operands, over the denominator A*B, so products against sparse factors like
 fraction-free: v0 = 1 and v_m = -sum_{k=1..m} p_k * p0^(k-1) * v_{m-k} give
 1/P = sum_m v_m q^m / p0^(m+1), so the inverse is
 sum_m D * v_m * p0^(N-m) q^m over p0^(N+1).
+
+``times_ratio`` is one step of a basic hypergeometric sum: it multiplies by
+a scalar, a power of q, sparse polynomials and factors 1/(1 - c*q^p) without
+building any factor as a series.  The monomial shifts and scales the
+numerators, each polynomial is one pass per nonzero term over the lcm of
+its denominators, and p = 0 multiplies the numerators by d and the
+denominator by d - u, for c = u/d.  For p >= 1 the division is the
+fraction-free recurrence: scale the numerators by d^J, J = N//p, then
+y_i += u * (y_(i-p) // d) for i >= p, from the bottom up.  The entry y_i
+is then a multiple of d^(J - i//p), so every division is exact, and the
+whole factor costs O(N).  ``geometric_inverse`` is the same step on 1.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ class QSeries:
     def __init__(self, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        cs = [rational(c) if not _is_rat(c) else c for c in coeffs]
+        cs = [_rat(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("more coefficients than the order admits")
         den = lcm(*(c.denominator for c in cs))
@@ -113,13 +124,11 @@ class QSeries:
     @staticmethod
     def from_monomials(terms: Sequence[tuple], order: int) -> "QSeries":
         """Sum of (coef, power) pairs, truncated to the order."""
-        cs = [ZERO] * (order + 1)
-        for coef, power in terms:
-            if power < 0:
-                raise ValueError("monomial power must be nonnegative")
-            if power <= order:
-                cs[power] = cs[power] + rational(coef)
-        return QSeries(order, cs)
+        steps, den = _sparse(terms, order)
+        nums = [0] * (order + 1)
+        for power, w in steps:
+            nums[power] = w
+        return QSeries._of(order, nums, den)
 
     # -- basic protocol -----------------------------------------------------
 
@@ -199,10 +208,55 @@ class QSeries:
         return QSeries._of(n, out, self.den * other.den)
 
     def scale(self, factor) -> "QSeries":
-        f = rational(factor) if not _is_rat(factor) else factor
+        f = _rat(factor)
         p = f.numerator
         return QSeries._of(self.order, [p * x for x in self.nums],
                            self.den * f.denominator)
+
+    def times_ratio(self, scalar, power: int, polys: Sequence = (),
+                    dens: Sequence = ()) -> "QSeries":
+        """self * scalar * q^power * prod(polys) / prod(1 - c*q^p for (c, p) in dens).
+
+        One step of a basic hypergeometric sum (see ``families.hyper_sum``).
+        Each poly is a list of ``(coef, power)`` monomials; p = 0 in ``dens``
+        is the scalar 1/(1 - c).  Every factor is one pass over the
+        numerators and the result gets one gcd pass.  A negative power of q
+        raises ValueError and the pole (1, 0) in ``dens`` ZeroDivisionError,
+        both before any work.
+        """
+        if min([power] + [p for poly in polys for _, p in poly] + [p for _, p in dens]) < 0:
+            raise ValueError("term ratio must not carry a negative power of q")
+        dens = [(_rat(c), p) for c, p in dens]
+        if any(p == 0 and c == 1 for c, p in dens):
+            raise ZeroDivisionError("denominator factor 1 - c vanishes at c = 1")
+        n = self.order
+        if power > n:
+            return QSeries.zero(n)
+        f = _rat(scalar)
+        y = [0] * power + [f.numerator * x for x in self.nums[: n + 1 - power]]
+        den = self.den * f.denominator
+        for poly in polys:
+            steps, d = _sparse(poly, n)
+            out = [0] * (n + 1)
+            for p, w in steps:
+                for i in range(n + 1 - p):
+                    out[i + p] += w * y[i]
+            y = out
+            den *= d
+        for c, p in dens:
+            u, d = c.numerator, c.denominator
+            if p == 0:
+                y = [d * x for x in y]
+                den *= d - u
+                continue
+            # y_(i-p) is a multiple of d^(n//p - (i-p)//p), a positive power of d
+            if d != 1:
+                scale = d ** (n // p)
+                y = [scale * x for x in y]
+                den *= scale
+            for i in range(p, n + 1):
+                y[i] += u * (y[i - p] // d)
+        return QSeries._of(n, y, den)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse at the same order.
@@ -254,7 +308,7 @@ class QSeries:
 
     def evaluate(self, q0):
         """Exact Horner evaluation of the truncated polynomial at a rational q0."""
-        x = rational(q0) if not _is_rat(q0) else q0
+        x = _rat(q0)
         r, s = x.numerator, x.denominator
         # acc / s^k is the Horner value of the top k+1 coefficients.
         acc = 0
@@ -303,8 +357,24 @@ class QSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def _is_rat(x) -> bool:
-    return isinstance(x, Fraction)
+def _rat(x) -> Fraction:
+    return x if isinstance(x, Fraction) else rational(x)
+
+
+def _sparse(terms: Sequence[tuple], order: int):
+    """(steps, den) for the sum of (coef, power) pairs truncated to the order.
+
+    ``steps`` lists ``(power, w)`` with coefficient w/den, one per power
+    (repeated powers are summed, zero sums dropped).
+    """
+    acc = {}
+    for coef, power in terms:
+        if power < 0:
+            raise ValueError("monomial power must be nonnegative")
+        if power <= order:
+            acc[power] = acc.get(power, ZERO) + _rat(coef)
+    den = lcm(*(c.denominator for c in acc.values()))
+    return [(p, c.numerator * (den // c.denominator)) for p, c in acc.items() if c], den
 
 
 def geometric_inverse(coef, power: int, order: int) -> QSeries:
@@ -314,12 +384,4 @@ def geometric_inverse(coef, power: int, order: int) -> QSeries:
     """
     if power < 1:
         raise ValueError("geometric inverse needs a positive power")
-    c = rational(coef) if not _is_rat(coef) else coef
-    cs = [ZERO] * (order + 1)
-    acc = ONE
-    i = 0
-    while i <= order:
-        cs[i] = acc
-        acc = acc * c
-        i += power
-    return QSeries(order, cs)
+    return QSeries.one(order).times_ratio(ONE, 0, (), [(coef, power)])

@@ -230,12 +230,13 @@ def _benchmark_workloads():
     return module
 
 
-def test_contact_and_expand_reproduce_golden_digests(capsys):
-    """The seed-0 contact tables and Euler expansions match their recorded outputs."""
+def test_benchmark_commands_reproduce_golden_digests(capsys):
+    """The seed-0 catalog pass, contact tables and Euler expansions match their recorded outputs."""
     workloads = _benchmark_workloads()
     golden = workloads.load_golden()
-    commands = workloads.contact_commands(0) + workloads.expand_commands(0)
-    assert len(commands) == 69
+    commands = (workloads.catalog_commands(0) + workloads.contact_commands(0)
+                + workloads.expand_commands(0))
+    assert len(commands) == 70
     assert all(command.key in golden for command in commands)
     problems = []
     for command in commands:

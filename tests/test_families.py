@@ -21,6 +21,7 @@ from qcfrac.families import (
     g2_big_sum,
     g_sum,
     gfrac5_den_sum,
+    hyper_sum,
     limit_pochhammer_scaled,
     pochhammer_finite,
     pochhammer_infinite,
@@ -128,6 +129,24 @@ def test_c_sum_pole_at_zero():
         g1ab_sum(rational(1, 2), rational(1, 3), 0, 0, 10)
     with pytest.raises(PoleAtParameter):
         g2_big_sum(0, rational(1, 3), rational(1, 5), 1, 10)
+
+
+def test_hyper_sum_constant_pole_raises():
+    # ratio (q, 1/(1 - 1)): the p = 0 denominator factor with c = 1 is a pole
+    with pytest.raises(ZeroDivisionError):
+        hyper_sum(5, lambda k: (1, 1, [], [(1, 0)]))
+
+
+def test_hyper_sum_stops_at_zero_scalar():
+    """A zero scalar ends the sum there (QBIN's finite partial sum relies on it)."""
+    asked = []
+
+    def ratio(k):
+        asked.append(k)
+        return (1 if k <= 2 else 0, 1, [], [])
+
+    assert hyper_sum(5, ratio) == QSeries.from_monomials([(1, 0), (1, 1), (1, 2)], 5)
+    assert asked == [1, 2, 3]
 
 
 REF_ORDER = 16

@@ -28,6 +28,10 @@ def test_constructors_and_indexing():
     assert s.order == 6
     with pytest.raises(IndexError):
         s[7]
+    # repeated powers sum, as in catalog's [(lam, j), (b, j // 2)] at j = 0
+    lam, b = rational(2, 3), rational(-1, 5)
+    assert QSeries.from_monomials([(lam, 0), (b, 0)], 4) == QSeries.constant(lam + b, 4)
+    assert QSeries.from_monomials([(1, 2), (-1, 2), (3, 9)], 4) == QSeries.zero(4)
 
 
 def test_monomial_rejects_negative_power():
@@ -37,6 +41,9 @@ def test_monomial_rejects_negative_power():
         QSeries.monomial(1, -1, 5)
     with pytest.raises(ValueError):
         QSeries.from_monomials([(1, 0), (2, -2)], 5)
+    for ratio in ((1, -1, [], []), (1, 0, [[(1, 0), (1, -2)]], []), (1, 0, [], [(2, -1)])):
+        with pytest.raises(ValueError):
+            QSeries.one(5).times_ratio(*ratio)
 
 
 def test_mul_truncates_at_order():
@@ -209,3 +216,45 @@ def test_equal_values_along_different_paths_are_equal_and_hash_alike(ca, cb, k):
     for x, y in pairs:
         assert x == y
         assert hash(x) == hash(y)
+
+
+def ref_geometric(c, p, n):
+    """1/(1 - c*q^p) through q^n; the constant 1/(1 - c) when p = 0."""
+    if p == 0:
+        return [1 / (1 - c)] + [Fraction(0)] * n
+    return [c ** (i // p) if i % p == 0 else Fraction(0) for i in range(n + 1)]
+
+
+def ref_poly(terms, n):
+    out = [Fraction(0)] * (n + 1)
+    for c, p in terms:
+        if p <= n:
+            out[p] += c
+    return out
+
+
+small = st.one_of(st.sampled_from([Fraction(0), Fraction(-1), Fraction(1)]),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=16))
+#: Powers from 0 through past the largest order, crowded low so they repeat.
+powers = st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=15))
+polys = st.lists(st.lists(st.tuples(small, powers), min_size=1, max_size=4), max_size=2)
+dens = st.lists(st.tuples(small, powers).filter(lambda cp: cp != (1, 0)), max_size=3)
+
+
+@given(st.integers(min_value=0, max_value=12).flatmap(
+           lambda n: st.lists(st.one_of(st.just(Fraction(0)), wide), min_size=n + 1,
+                              max_size=n + 1)),
+       small, powers, polys, dens)
+def test_times_ratio_matches_fraction_reference(ca, scalar, power, polys, dens):
+    n = len(ca) - 1
+    want = ref_mul(ca, ref_poly([(scalar, power)], n))
+    for poly in polys:
+        want = ref_mul(want, ref_poly(poly, n))
+    for c, p in dens:
+        want = ref_mul(want, ref_geometric(c, p, n))
+    got = QSeries(n, ca).times_ratio(scalar, power, polys, dens)
+    assert got == QSeries(n, want)
+    assert hash(got) == hash(QSeries(n, want))
+    for c, p in dens:
+        if p >= 1:
+            assert geometric_inverse(c, p, n) == QSeries(n, ref_geometric(c, p, n))
