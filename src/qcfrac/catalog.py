@@ -7,7 +7,9 @@ used to derive them, a handful of infinite-product identities, and the
 three-term contiguous recurrences that drive the constructions.
 
 Every entry is declarative: recipes that build exact :class:`QSeries` objects
-at a requested truncation order from an exact rational parameter point.
+at a requested truncation order from an exact rational parameter point.  A
+continued fraction's recipe gives its n-th element as two lists of
+(coef, power) terms, which :meth:`CFrac.from_terms` turns into series.
 Verification is zero tolerance.  Coefficients are compared as exact
 rationals; a continued-fraction entry must agree with its target ratio
 strictly beyond the approximant depth (the order-of-contact floor), and all
@@ -215,8 +217,10 @@ def _parity_sums(a, b, order: int) -> Tuple[QSeries, QSeries]:
     return full - even, even
 
 
-def _theta_products(a, b, order: int) -> Tuple[QSeries, QSeries]:
-    """(-aq)inf (bq)inf -/+ (aq)inf (-bq)inf, on the shifted slice."""
+def _theta_products(p: ParamPoint, order: int) -> Tuple[QSeries, QSeries]:
+    """(-aq)inf (bq)inf -/+ (aq)inf (-bq)inf, on the shifted slice; the
+    targets P-, P+ of the Entry 11 fraction."""
+    a, b = p.a, p.b
     pa = pochhammer_infinite(QMonomial(a, 1), order)
     pma = pochhammer_infinite(QMonomial(-a, 1), order)
     pb = pochhammer_infinite(QMonomial(b, 1), order)
@@ -226,77 +230,63 @@ def _theta_products(a, b, order: int) -> Tuple[QSeries, QSeries]:
 
 # ---------------------------------------------------------------------------
 # Continued-fraction element recipes
+#
+# Each recipe maps (point, n) to the n-th element (a_terms, b_terms) as lists
+# of (coef, power) terms; _cf turns one into an entry's make_cf.
+
+_UNIT = [(ONE, 0)]
 
 
-def _make_rr_cf(p: ParamPoint, order: int) -> CFrac:
-    one = QSeries.one(order)
+def _cf(elements: Callable[[ParamPoint, int], tuple], b0=0):
+    """make_cf for a term recipe, with the scalar leading term b0."""
+    return lambda p, order: CFrac.from_terms(b0, order, lambda n: elements(p, n))
 
-    def elem(n: int):
-        if n == 1:
-            return one, one
-        return QSeries.monomial(p.a, n - 1, order), one
 
-    return CFrac(QSeries.zero(order), elem)
+def _rr_cf(p: ParamPoint, n: int):
+    if n == 1:
+        return _UNIT, _UNIT
+    return [(p.a, n - 1)], _UNIT
 
 
 def _rr_targets(p: ParamPoint, order: int):
     return rr_sum(p.a, 1, order), rr_sum(p.a, 0, order)
 
 
-def _make_rr_special(p: ParamPoint, order: int) -> CFrac:
-    one = QSeries.one(order)
-
-    def elem(n: int):
-        return QSeries.monomial(1, n, order), one
-
-    return CFrac(one, elem)
+def _rr_special(p: ParamPoint, n: int):
+    return [(ONE, n)], _UNIT
 
 
 def _rrs_targets(p: ParamPoint, order: int):
     return rr_sum(1, 0, order), rr_sum(1, 1, order)
 
 
-def _make_g2cf(p: ParamPoint, order: int) -> CFrac:
-    one = QSeries.one(order)
-
-    def elem(n: int):
-        if n == 1:
-            return one, one
-        j = n - 1
-        return QSeries.monomial(p.lam, j, order), _one_plus(p.b, j, order)
-
-    return CFrac(QSeries.zero(order), elem)
+def _g2cf(p: ParamPoint, n: int):
+    if n == 1:
+        return _UNIT, _UNIT
+    j = n - 1
+    return [(p.lam, j)], [(ONE, 0), (p.b, j)]
 
 
 def _g_targets(p: ParamPoint, order: int):
     return g_sum(p.b, p.lam, 1, order), g_sum(p.b, p.lam, 0, order)
 
 
-def _make_g1cf(p: ParamPoint, order: int) -> CFrac:
-    one = QSeries.one(order)
-
-    def elem(n: int):
-        if n == 1:
-            return one, one
-        j = n - 1
-        if j % 2 == 1:
-            return QSeries.monomial(p.lam, j, order), one
-        return QSeries.from_monomials([(p.lam, j), (p.b, j // 2)], order), one
-
-    return CFrac(QSeries.zero(order), elem)
+def _g1cf(p: ParamPoint, n: int):
+    if n == 1:
+        return _UNIT, _UNIT
+    j = n - 1
+    if j % 2 == 1:
+        return [(p.lam, j)], _UNIT
+    return [(p.lam, j), (p.b, j // 2)], _UNIT
 
 
-def _make_g3cf(p: ParamPoint, order: int) -> CFrac:
-    # b -> b q^2 slice of the displayed fraction 1/(1-b) + (b+lam q)/(1-b) + ...
-    den = QSeries.from_monomials([(ONE, 0), (-p.b, 2)], order)
-    one = QSeries.one(order)
-
-    def elem(m: int):
-        if m == 1:
-            return one, den
-        return QSeries.from_monomials([(p.b, 2), (p.lam, m - 1)], order), den
-
-    return CFrac(QSeries.zero(order), elem)
+def _g3cf(p: ParamPoint, n: int, b_power: int = 2):
+    # b -> b q^b_power slice of the displayed fraction 1/(1-b) + (b+lam q)/(1-b) + ...;
+    # the check uses b_power = 2, the modified approximants the display itself.
+    den = [(ONE, 0), (-p.b, b_power)]
+    if n == 1:
+        return _UNIT, den
+    return [(p.b, b_power), (p.lam, n - 1)], den
 
 
 def _g3_targets(p: ParamPoint, order: int):
@@ -304,35 +294,14 @@ def _g3_targets(p: ParamPoint, order: int):
             g_sum(p.b, p.lam, 0, order, b_power=3))
 
 
-def _g3_displayed_cf(p: ParamPoint, order: int) -> CFrac:
-    """The scalar display itself; used by the modified-approximant check
-    and the Hirschhorn reduction, where no q-grading is needed."""
-    one_minus_b = QSeries.constant(1 - p.b, order)
-    one = QSeries.one(order)
-
-    def elem(m: int):
-        if m == 1:
-            return one, one_minus_b
-        return QSeries.from_monomials([(p.b, 0), (p.lam, m - 1)], order), one_minus_b
-
-    return CFrac(QSeries.zero(order), elem)
-
-
-def _make_heine(p: ParamPoint, order: int) -> CFrac:
-    one = QSeries.one(order)
-
-    def elem(n: int):
-        if n == 1:
-            return one, one
-        j = n - 1
-        bn = _one_plus(p.b, j, order)
-        if j % 2 == 1:
-            an = QSeries.from_monomials([(p.a, (j + 1) // 2), (p.lam, j)], order)
-        else:
-            an = QSeries.from_monomials([(p.lam, j), (-p.a * p.b, 3 * j // 2)], order)
-        return an, bn
-
-    return CFrac(QSeries.zero(order), elem)
+def _heine(p: ParamPoint, n: int):
+    if n == 1:
+        return _UNIT, _UNIT
+    j = n - 1
+    bn = [(ONE, 0), (p.b, j)]
+    if j % 2 == 1:
+        return [(p.a, (j + 1) // 2), (p.lam, j)], bn
+    return [(p.lam, j), (-p.a * p.b, 3 * j // 2)], bn
 
 
 def _big_g_targets(p: ParamPoint, order: int):
@@ -340,48 +309,29 @@ def _big_g_targets(p: ParamPoint, order: int):
             big_g_sum(p.a, 0, p.b, p.lam, 0, 0, order))
 
 
-def _make_rg1(p: ParamPoint, order: int) -> CFrac:
-    one = QSeries.one(order)
-
-    def elem(n: int):
-        if n == 1:
-            return one, one
-        j = n - 1
-        if j % 2 == 1:
-            return QSeries.from_monomials([(p.a, (j + 1) // 2), (p.lam, j)], order), one
-        return QSeries.from_monomials([(p.b, j // 2), (p.lam, j)], order), one
-
-    return CFrac(QSeries.zero(order), elem)
+def _rg1(p: ParamPoint, n: int):
+    if n == 1:
+        return _UNIT, _UNIT
+    j = n - 1
+    if j % 2 == 1:
+        return [(p.a, (j + 1) // 2), (p.lam, j)], _UNIT
+    return [(p.b, j // 2), (p.lam, j)], _UNIT
 
 
-def _make_rg2(p: ParamPoint, order: int) -> CFrac:
-    one = QSeries.one(order)
-
-    def elem(n: int):
-        if n == 1:
-            return one, _one_plus(p.a, 1, order)
-        j = n - 1
-        an = QSeries.from_monomials([(p.lam, j), (-p.a * p.b, 2 * j)], order)
-        bn = QSeries.from_monomials([(ONE, 0), (p.a, j + 1), (p.b, j)], order)
-        return an, bn
-
-    return CFrac(QSeries.zero(order), elem)
+def _rg2(p: ParamPoint, n: int):
+    if n == 1:
+        return _UNIT, [(ONE, 0), (p.a, 1)]
+    j = n - 1
+    return [(p.lam, j), (-p.a * p.b, 2 * j)], [(ONE, 0), (p.a, j + 1), (p.b, j)]
 
 
-def _make_hirschhorn(p: ParamPoint, order: int) -> CFrac:
+def _hirschhorn(p: ParamPoint, n: int):
     # a -> a q slice: partial numerators a q^2 + lam q^j stay q-graded while
     # the displayed form's a q + lam q^j would pin every valuation at 1.
-    one = QSeries.one(order)
-
-    def elem(n: int):
-        if n == 1:
-            return one, one
-        j = n - 1
-        an = QSeries.from_monomials([(p.a, 2), (p.lam, j)], order)
-        bn = QSeries.from_monomials([(ONE, 0), (-p.a, 2), (p.b, j)], order)
-        return an, bn
-
-    return CFrac(QSeries.zero(order), elem)
+    if n == 1:
+        return _UNIT, _UNIT
+    j = n - 1
+    return [(p.a, 2), (p.lam, j)], [(ONE, 0), (-p.a, 2), (p.b, j)]
 
 
 def _hirschhorn_targets(p: ParamPoint, order: int):
@@ -389,53 +339,36 @@ def _hirschhorn_targets(p: ParamPoint, order: int):
             big_g_sum(p.a, 1, p.b, p.lam, 0, 0, order))
 
 
-def _make_heine_a(p: ParamPoint, order: int) -> CFrac:
-    one = QSeries.one(order)
-
-    def elem(n: int):
-        if n == 1:
-            return one, _one_plus(p.a, 1, order)
-        j = n - 1
-        bn = _one_plus(p.a, j + 1, order)
-        if j % 2 == 1:
-            an = QSeries.from_monomials([(p.lam, j), (-p.a * p.b, (3 * j + 1) // 2)], order)
-        else:
-            an = QSeries.from_monomials([(p.lam, j), (p.b, j // 2)], order)
-        return an, bn
-
-    return CFrac(QSeries.zero(order), elem)
+def _heine_a(p: ParamPoint, n: int):
+    if n == 1:
+        return _UNIT, [(ONE, 0), (p.a, 1)]
+    j = n - 1
+    bn = [(ONE, 0), (p.a, j + 1)]
+    if j % 2 == 1:
+        return [(p.lam, j), (-p.a * p.b, (3 * j + 1) // 2)], bn
+    return [(p.lam, j), (p.b, j // 2)], bn
 
 
-def _make_eisenstein(p: ParamPoint, order: int) -> CFrac:
-    one = QSeries.one(order)
-
-    def elem(n: int):
-        if n == 1:
-            return one, one
-        j = n - 1
-        if j % 2 == 1:
-            return QSeries.monomial(p.a, j, order), one
-        return QSeries.from_monomials([(p.a, j), (-p.a, j // 2)], order), one
-
-    return CFrac(QSeries.zero(order), elem)
+def _eisenstein(p: ParamPoint, n: int):
+    if n == 1:
+        return _UNIT, _UNIT
+    j = n - 1
+    if j % 2 == 1:
+        return [(p.a, j)], _UNIT
+    return [(p.a, j), (-p.a, j // 2)], _UNIT
 
 
 def _eisenstein_targets(p: ParamPoint, order: int):
     return eisenstein_sum(p.a, 0, order), QSeries.one(order)
 
 
-def _make_prod_ratio(p: ParamPoint, order: int) -> CFrac:
-    one = QSeries.one(order)
-
-    def elem(n: int):
-        if n == 1:
-            return one, one
-        j = n - 1
-        if j % 2 == 1:
-            return QSeries.monomial(1, j, order), one
-        return QSeries.from_monomials([(ONE, j), (ONE, j // 2)], order), one
-
-    return CFrac(QSeries.zero(order), elem)
+def _prod_ratio(p: ParamPoint, n: int):
+    if n == 1:
+        return _UNIT, _UNIT
+    j = n - 1
+    if j % 2 == 1:
+        return [(ONE, j)], _UNIT
+    return [(ONE, j), (ONE, j // 2)], _UNIT
 
 
 def _prod_ratio_targets(p: ParamPoint, order: int):
@@ -444,26 +377,16 @@ def _prod_ratio_targets(p: ParamPoint, order: int):
     return num, den * den
 
 
-def _make_entry11(p: ParamPoint, order: int) -> CFrac:
+def _entry11(p: ParamPoint, n: int):
     # (a, b) -> (aq, bq) slice of Ramanujan's fraction with partial
-    # denominators 1 - q^(2n-1).
+    # denominators 1 - q^(2n-1); for n >= 2 the partial numerator
+    # q^(n-2) (aq - bq^n)(aq^n - bq) is written out term by term.
     a, b = p.a, p.b
-
-    def elem(n: int):
-        if n == 1:
-            an = QSeries.from_monomials([(a, 1), (-b, 1)], order)
-        else:
-            an = (QSeries.monomial(1, n - 2, order)
-                  * QSeries.from_monomials([(a, 1), (-b, n)], order)
-                  * QSeries.from_monomials([(-b, 1), (a, n)], order))
-        bn = QSeries.from_monomials([(ONE, 0), (-ONE, 2 * n - 1)], order)
-        return an, bn
-
-    return CFrac(QSeries.zero(order), elem)
-
-
-def _entry11_targets(p: ParamPoint, order: int):
-    return _theta_products(p.a, p.b, order)
+    if n == 1:
+        an = [(a, 1), (-b, 1)]
+    else:
+        an = [(-a * b, n), (a * a + b * b, 2 * n - 1), (-a * b, 3 * n - 2)]
+    return an, [(ONE, 0), (-ONE, 2 * n - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +479,7 @@ def _gfrac_sums2_small_pairs(p: ParamPoint, order: int):
 def _entry11_sumratio_pairs(p: ParamPoint, order: int):
     a, b = p.a, p.b
     odd_s, even_s = _parity_sums(a, b, order)
-    pminus, pplus = _theta_products(a, b, order)
+    pminus, pplus = _theta_products(p, order)
     return [("odd part times P+ = even part times P-", odd_s * pplus, even_s * pminus)]
 
 
@@ -596,7 +519,7 @@ def _eisenstein_pairs(p: ParamPoint, order: int):
 def _g3_pairs(p: ParamPoint, order: int):
     # Modified approximants of the displayed fraction with the exact tail
     # value w_n = (b + lam q^n) g2(n+1)/g2(n) are constant in n.
-    cf = _g3_displayed_cf(p, order)
+    cf = CFrac.from_terms(0, order, lambda n: _g3cf(p, n, b_power=0))
     target = g2_sum(p.b, p.lam, 1, order) * g2_sum(p.b, p.lam, 0, order).inverse()
     out = []
     for n in range(1, 7):
@@ -632,12 +555,11 @@ def _entry11_pairs(p: ParamPoint, order: int):
     odd_s, even_s = _parity_sums(a, b, order)
     c1 = c_sum(a, b, 1, order)
     c2 = c_sum(a, b, 2, order)
-    one_m_q = QSeries.from_monomials([(ONE, 0), (-ONE, 1)], order)
-    one_m_q3 = QSeries.from_monomials([(ONE, 0), (-ONE, 3)], order)
-    lhs = odd_s * (one_m_q * one_m_q3 * c1
-                   + QSeries.from_monomials([(a, 1), (-b, 2)], order)
-                   * QSeries.from_monomials([(-b, 1), (a, 2)], order) * c2)
-    rhs = even_s * QSeries.from_monomials([(a, 1), (-b, 1)], order) * one_m_q3 * c1
+    # the fraction's first two elements carry C(1), C(2) back to the split
+    cf = CFrac.from_terms(0, order, lambda n: _entry11(p, n))
+    (a1, b1), (a2, b2) = cf.element(1), cf.element(2)
+    lhs = odd_s * (b1 * b2 * c1 + a2 * c2)
+    rhs = even_s * a1 * b2 * c1
     return [("first-step bridge through C(1), C(2)", lhs, rhs)]
 
 
@@ -743,7 +665,7 @@ _add(IdentityEntry(
     display="1/1 + aq/1 + aq^2/1 + aq^3/1 + ... = R(1)/R(0), "
             "R(s) = sum_k a^k q^(k^2+sk) / (q;q)_k",
     constraints=(_A_NZ,),
-    make_cf=_make_rr_cf,
+    make_cf=_cf(_rr_cf),
     targets=_rr_targets,
 ))
 
@@ -753,7 +675,7 @@ _add(IdentityEntry(
     source="Rogers (1894); Ramanujan-Hardy correspondence",
     display="1 + q/1 + q^2/1 + q^3/1 + ... = R(0)/R(1) at a = 1",
     param_note="parameters are ignored; the fraction is parameter-free",
-    make_cf=_make_rr_special,
+    make_cf=_cf(_rr_special, b0=1),
     targets=_rrs_targets,
 ))
 
@@ -764,7 +686,7 @@ _add(IdentityEntry(
     display="1/1 + lq/(1+bq) + lq^2/(1+bq^2) + ... = g(1)/g(0), "
             "g(s) = sum_k l^k q^(k^2+sk) / ((q;q)_k (-bq;q)_k)",
     constraints=(_L_NZ,),
-    make_cf=_make_g2cf,
+    make_cf=_cf(_g2cf),
     targets=_g_targets,
 ))
 
@@ -774,7 +696,7 @@ _add(IdentityEntry(
     source="lost notebook companion with unit partial denominators",
     display="1/1 + lq/1 + (lq^2+bq)/1 + lq^3/1 + (lq^4+bq^2)/1 + ... = g(1)/g(0)",
     constraints=(_L_NZ,),
-    make_cf=_make_g1cf,
+    make_cf=_cf(_g1cf),
     targets=_g_targets,
 ))
 
@@ -786,7 +708,7 @@ _add(IdentityEntry(
             "checked on the b -> bq^2 slice",
     constraints=((lambda p: p.b != 1, "b = 1 makes every partial denominator vanish"),
                  _B_L_NZ),
-    make_cf=_make_g3cf,
+    make_cf=_cf(_g3cf),
     targets=_g3_targets,
     pairs=_g3_pairs,
 ))
@@ -798,7 +720,7 @@ _add(IdentityEntry(
     display="1/1 + (aq+lq)/(1+bq) + (lq^2-abq^3)/(1+bq^2) + "
             "(aq^2+lq^3)/(1+bq^3) + ... = G(1)/G(0)",
     constraints=(_APL_NZ, _L_NZ),
-    make_cf=_make_heine,
+    make_cf=_cf(_heine),
     targets=_big_g_targets,
 ))
 
@@ -809,7 +731,7 @@ _add(IdentityEntry(
     display="1/1 + (aq+lq)/1 + (bq+lq^2)/1 + (aq^2+lq^3)/1 + "
             "(bq^2+lq^4)/1 + ... = G(1)/G(0)",
     constraints=(_APL_NZ, _B_L_NZ),
-    make_cf=_make_rg1,
+    make_cf=_cf(_rg1),
     targets=_big_g_targets,
 ))
 
@@ -820,7 +742,7 @@ _add(IdentityEntry(
     display="1/(1+aq) + (lq-abq^2)/(1+aq^2+bq) + (lq^2-abq^4)/(1+aq^3+bq^2) "
             "+ ... = G(1)/G(0)",
     constraints=(_A_NZ, _L_NZ),
-    make_cf=_make_rg2,
+    make_cf=_cf(_rg2),
     targets=_big_g_targets,
     pairs=_rg2_pairs,
 ))
@@ -832,7 +754,7 @@ _add(IdentityEntry(
     display="1/1 + (aq+lq)/(1-aq+bq) + (aq+lq^2)/(1-aq+bq^2) + ... "
             "= G(1)/G(0); checked on the a -> aq slice",
     constraints=(_APL_NZ,),
-    make_cf=_make_hirschhorn,
+    make_cf=_cf(_hirschhorn),
     targets=_hirschhorn_targets,
     convergence="|aq/(1-aq)^2| < 1/4 for ordinary convergence",
 ))
@@ -844,7 +766,7 @@ _add(IdentityEntry(
     display="1/(1+aq) + (lq-abq^2)/(1+aq^2) + (lq^2+bq)/(1+aq^3) + "
             "(lq^3-abq^5)/(1+aq^4) + ... = G(1)/G(0)",
     constraints=(_L_NZ,),
-    make_cf=_make_heine_a,
+    make_cf=_cf(_heine_a),
     targets=_big_g_targets,
 ))
 
@@ -855,7 +777,7 @@ _add(IdentityEntry(
     display="sum_k (-a)^k q^(k(k+1)/2) = 1/1 + aq/1 + a(q^2-q)/1 + aq^3/1 "
             "+ a(q^4-q^2)/1 + ...",
     constraints=(_A_NZ,),
-    make_cf=_make_eisenstein,
+    make_cf=_cf(_eisenstein),
     targets=_eisenstein_targets,
     pairs=_eisenstein_pairs,
 ))
@@ -940,7 +862,7 @@ _add(IdentityEntry(
     display="1/1 + q/1 + (q^2+q)/1 + q^3/1 + (q^4+q^2)/1 + ... "
             "= (q;q^2)inf / (q^2;q^4)inf^2",
     param_note="parameters are ignored; the fraction is parameter-free",
-    make_cf=_make_prod_ratio,
+    make_cf=_cf(_prod_ratio),
     targets=_prod_ratio_targets,
     pairs=_prod_ratio_pairs,
 ))
@@ -953,8 +875,8 @@ _add(IdentityEntry(
             "+ ... = (P- / P+); checked on the (a,b) -> (aq,bq) slice",
     constraints=((lambda p: p.a != p.b, "a = b zeroes the leading numerator"),
                  _A_NZ),
-    make_cf=_make_entry11,
-    targets=_entry11_targets,
+    make_cf=_cf(_entry11),
+    targets=_theta_products,
     pairs=_entry11_pairs,
 ))
 
@@ -1066,13 +988,6 @@ class ReductionLink:
     check: Callable[[ParamPoint, int], Optional[int]]
 
 
-def _elem_mismatch(e1, e2) -> Optional[int]:
-    fm = e1[0].first_mismatch(e2[0])
-    if fm is not None:
-        return fm
-    return e1[1].first_mismatch(e2[1])
-
-
 def _pair_scan(pairs) -> Optional[int]:
     for lhs, rhs in pairs:
         fm = lhs.first_mismatch(rhs)
@@ -1081,32 +996,35 @@ def _pair_scan(pairs) -> Optional[int]:
     return None
 
 
+def _elements_mismatch(src: CFrac, tgt: CFrac, ns, shift: int = 0) -> Optional[int]:
+    """First mismatching power between src's element n and tgt's element
+    n + shift, over n in ns and a_n before b_n; None when all agree."""
+    return _pair_scan(pair for n in ns
+                      for pair in zip(src.element(n), tgt.element(n + shift)))
+
+
 def _link_rrs_to_rr(p: ParamPoint, order: int) -> Optional[int]:
-    src = _make_rr_special(p, order)
-    tgt = _make_rr_cf(ParamPoint(1, p.b, p.lam), order)
-    for n in range(1, 13):
-        fm = _elem_mismatch(src.element(n), tgt.element(n + 1))
-        if fm is not None:
-            return fm
-    # b0 absorbs the shifted-off first element: 1 + K = R(0)/R(1)
-    fm = _pair_scan([(src.b0, QSeries.one(order)), (tgt.b0, QSeries.zero(order))])
+    at_one = ParamPoint(1, p.b, p.lam)
+    src = lookup("RR_SPECIAL").make_cf(p, order)
+    tgt = lookup("RR_CF").make_cf(at_one, order)
+    fm = _elements_mismatch(src, tgt, range(1, 13), shift=1)
     if fm is not None:
         return fm
+    # b0 absorbs the shifted-off first element: 1 + K = R(0)/R(1)
     s_num, s_den = _rrs_targets(p, order)
-    t_num, t_den = _rr_targets(ParamPoint(1, p.b, p.lam), order)
-    return _pair_scan([(s_num, t_den), (s_den, t_num)])
+    t_num, t_den = _rr_targets(at_one, order)
+    return _pair_scan([(src.b0, QSeries.one(order)), (tgt.b0, QSeries.zero(order)),
+                       (s_num, t_den), (s_den, t_num)])
 
 
 def _link_g2_to_rr(p: ParamPoint, order: int) -> Optional[int]:
     sliced = ParamPoint(p.a, 0, p.a)     # b = 0, l = a
-    src = _make_g2cf(sliced, order)
-    tgt = _make_rr_cf(ParamPoint(p.a, p.b, p.lam), order)
-    for n in range(1, 13):
-        fm = _elem_mismatch(src.element(n), tgt.element(n))
-        if fm is not None:
-            return fm
-    pairs = [(g_sum(0, p.a, s, order), rr_sum(p.a, s, order)) for s in (0, 1)]
-    return _pair_scan(pairs)
+    src = lookup("G_CFRAC_g2").make_cf(sliced, order)
+    tgt = lookup("RR_CF").make_cf(p, order)
+    fm = _elements_mismatch(src, tgt, range(1, 13))
+    if fm is not None:
+        return fm
+    return _pair_scan((g_sum(0, p.a, s, order), rr_sum(p.a, s, order)) for s in (0, 1))
 
 
 def _limit_g_sum(b, lam, s: int, order: int) -> QSeries:
@@ -1125,12 +1043,11 @@ def _limit_g_sum(b, lam, s: int, order: int) -> QSeries:
 
 
 def _link_rg1_to_g1(p: ParamPoint, order: int) -> Optional[int]:
-    src = _make_rg1(ParamPoint(0, p.b, p.lam), order)
-    tgt = _make_g1cf(p, order)
-    for n in range(1, 13):
-        fm = _elem_mismatch(src.element(n), tgt.element(n))
-        if fm is not None:
-            return fm
+    src = lookup("RAMANUJAN_G1").make_cf(ParamPoint(0, p.b, p.lam), order)
+    tgt = lookup("G_CFRAC_g1").make_cf(p, order)
+    fm = _elements_mismatch(src, tgt, range(1, 13))
+    if fm is not None:
+        return fm
     pairs = []
     for s in (0, 1):
         lim = _limit_g_sum(p.b, p.lam, s, order)
@@ -1141,35 +1058,30 @@ def _link_rg1_to_g1(p: ParamPoint, order: int) -> Optional[int]:
 
 def _link_hir_to_g3(p: ParamPoint, order: int) -> Optional[int]:
     b, lam = p.b, p.lam
-    tgt = _g3_displayed_cf(ParamPoint(p.a, b, lam), order)
-    for j in range(1, 12):
-        # source element (aq + l q^j) / (1 - aq + b_src q^j) at b_src = 0
-        # with the q-shift a q -> b applied to the partial numerator and
-        # denominator as a series substitution
-        mapped_a = QSeries.from_monomials([(b, 0), (lam, j)], order)
-        mapped_b = QSeries.constant(1 - b, order)
-        fm = _elem_mismatch((mapped_a, mapped_b), tgt.element(j + 1))
-        if fm is not None:
-            return fm
+    # Hirschhorn's slice a_n = a q^2 + l q^(n-1) over 1 - a q^2 + b q^(n-1)
+    # at (a, b) = (b, 0) is the b -> b q^2 slice of the g3 fraction from its
+    # second element on; the first elements differ only in b_1.
+    src = lookup("HIRSCHHORN").make_cf(ParamPoint(b, 0, lam), order)
+    tgt = lookup("G_CFRAC_g3").make_cf(p, order)
+    fm = _elements_mismatch(src, tgt, range(2, 13))
+    if fm is not None:
+        return fm
     # value side: G(b q^(-1) q, ...) collapses onto the g2 sums
-    gsub1 = big_g_sum(b, -1, 0, lam, 0, 1, order)
-    gsub0 = big_g_sum(b, -1, 0, lam, 0, 0, order)
     return _pair_scan([
-        (gsub1, g2_sum(b, lam, 1, order)),
-        (gsub0, g2_sum(b, lam, 0, order) + g2_sum(b, lam, 1, order).scale(b)),
+        (big_g_sum(b, -1, 0, lam, 0, 1, order), g2_sum(b, lam, 1, order)),
+        (big_g_sum(b, -1, 0, lam, 0, 0, order),
+         g2_sum(b, lam, 0, order) + g2_sum(b, lam, 1, order).scale(b)),
     ])
 
 
 def _link_heine_to_g2(p: ParamPoint, order: int) -> Optional[int]:
-    src = _make_heine(ParamPoint(0, p.b, p.lam), order)
-    tgt = _make_g2cf(p, order)
-    for n in range(1, 13):
-        fm = _elem_mismatch(src.element(n), tgt.element(n))
-        if fm is not None:
-            return fm
-    pairs = [(big_g_sum(0, 0, p.b, p.lam, 0, s, order), g_sum(p.b, p.lam, s, order))
-             for s in (0, 1)]
-    return _pair_scan(pairs)
+    src = lookup("HEINE_CF").make_cf(ParamPoint(0, p.b, p.lam), order)
+    tgt = lookup("G_CFRAC_g2").make_cf(p, order)
+    fm = _elements_mismatch(src, tgt, range(1, 13))
+    if fm is not None:
+        return fm
+    return _pair_scan((big_g_sum(0, 0, p.b, p.lam, 0, s, order), g_sum(p.b, p.lam, s, order))
+                      for s in (0, 1))
 
 
 REDUCTION_LINKS: Tuple[ReductionLink, ...] = (
@@ -1195,8 +1107,9 @@ def check_reduction(source_id: str, target_id: str,
 
     The optional substitution is documentation-level: when given it must
     match the registered parameter map for the pair.  The check runs at the
-    first sampled parameter point and compares element recipes structurally
-    plus the series-level value relation, all to the requested order.
+    first sampled parameter point and compares the elements of the two
+    registered fractions plus the series-level value relation, all to the
+    requested order.
     """
     link = _find_link(source_id, target_id)
     if substitution is not None and dict(substitution) != link.substitution:

@@ -1,10 +1,11 @@
 """Continued fractions with truncated power-series elements.
 
 A continued fraction here is  b0 + K_{n>=1}(a_n / b_n)  with every part an
-exact :class:`~qcfrac.series.QSeries`.  Approximants come from the classical
-three-term recurrence for the convergent numerators and denominators; a
-modified approximant replaces the terminating 0 with a supplied tail value,
-which is how tail identities are checked exactly.
+exact :class:`~qcfrac.series.QSeries`; :meth:`CFrac.from_terms` builds one
+from elements given as lists of (coef, power) terms.  Approximants come from
+the classical three-term recurrence for the convergent numerators and
+denominators; a modified approximant replaces the terminating 0 with a
+supplied tail value, which is how tail identities are checked exactly.
 
 The numeric side evaluates the polynomial elements at an exact rational q0
 and only then drops to floating point, iterating backward; the Worpitzky
@@ -14,13 +15,14 @@ the classical |a_n| <= 1/4 convergence region.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple, Optional
+from typing import Callable, List, Optional, Tuple
 
 from .errors import HorizonExceeded, NonUnitDenominator, NumericBlowup
 from .rationals import rational
 from .series import QSeries
 
 ElementFn = Callable[[int], Tuple[QSeries, QSeries]]
+TermFn = Callable[[int], Tuple[List[tuple], List[tuple]]]
 
 
 class CFrac:
@@ -38,6 +40,21 @@ class CFrac:
         self._fn = elements
         self._memo = {}
         self._walk = None
+
+    @classmethod
+    def from_terms(cls, b0, order: int, elements: TermFn) -> "CFrac":
+        """The fraction b0 + K(a_n / b_n) at ``order`` from scalar b0 and
+        ``elements(n) = (a_terms, b_terms)``, lists of (coef, power) pairs.
+
+        Each list goes through :meth:`QSeries.from_monomials`: repeated powers
+        are summed, and a negative power raises ValueError when asked for.
+        """
+        def series(n: int) -> Tuple[QSeries, QSeries]:
+            a_terms, b_terms = elements(n)
+            return (QSeries.from_monomials(a_terms, order),
+                    QSeries.from_monomials(b_terms, order))
+
+        return cls(QSeries.constant(b0, order), series)
 
     def element(self, n: int) -> Tuple[QSeries, QSeries]:
         if n < 1:

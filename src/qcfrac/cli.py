@@ -11,6 +11,7 @@ options).  All parameters are exact rationals; floats are rejected so a
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -94,6 +95,7 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
+    """The run's settings; a value out of range raises ValueError (exit 2)."""
     cfg = RunConfig()
     for name in ("order", "depth", "points", "seed"):
         if getattr(args, name, None) is not None:
@@ -103,6 +105,9 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "format", None):
         cfg.format = args.format
     cfg.output_path = getattr(args, "output", None)
+    problem = cfg.validate()
+    if problem is not None:
+        raise ValueError(problem)
     return cfg
 
 
@@ -135,10 +140,6 @@ def _report_lines(reports, show_source: bool) -> List[str]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    problem = cfg.validate()
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return 2
 
     if args.id == "all":
         if args.perturb:
@@ -150,10 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             entry = catalog.lookup(args.id)
             if args.perturb:
                 entry = catalog.perturbed_entry(args.id)
-        except UnknownIdentity as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        except ValueError as exc:
+        except (UnknownIdentity, ValueError) as exc:
             print(exc, file=sys.stderr)
             return 2
         if cfg.params is not None:
@@ -193,10 +191,6 @@ def _parse_family_arg(text: str):
 
 def cmd_expand(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    problem = cfg.validate()
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return 2
     point = cfg.params if cfg.params is not None else DEFAULT_POINT
     try:
         num_fam, num_s = _parse_family_arg(args.num)
@@ -231,10 +225,6 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 def cmd_approximants(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
-    problem = cfg.validate()
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return 2
     try:
         entry = catalog.lookup(args.id)
     except UnknownIdentity as exc:
@@ -333,7 +323,9 @@ def _add_common(sub: argparse.ArgumentParser, points: bool = False) -> None:
                          help="seed for parameter sampling (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="qcfrac",
         description="exact verification of q-continued-fraction identities",
@@ -374,22 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     if (argv and argv[0] == "euclid" and "--" not in argv
             and not any(a in ("-h", "--help") for a in argv)):
         # keep a leading minus sign on the fraction from reading as a flag
         argv = [argv[0], "--"] + argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except QcfracError as exc:
+    except (ValueError, QcfracError) as exc:
         print(exc, file=sys.stderr)
         return 2
 

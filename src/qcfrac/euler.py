@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from .cfrac import CFrac
 from .errors import NonUnitInput, PrecisionExhausted
 from .series import QMonomial, QSeries
 
@@ -81,18 +82,15 @@ class ExpansionTrace:
         Only the factors actually extracted are available; asking for a
         deeper element raises IndexError.
         """
-        from .cfrac import CFrac
-
-        one = QSeries.one(order)
         factors = self.factors
 
         def elem(n: int):
             if n > len(factors):
                 raise IndexError(f"expansion produced only {len(factors)} factors")
             f = factors[n - 1]
-            return QSeries.monomial(f.coef, f.power, order), one
+            return [(f.coef, f.power)], [(1, 0)]
 
-        return CFrac(one, elem)
+        return CFrac.from_terms(1, order, elem)
 
     def factor_strings(self) -> List[str]:
         return [str(f) for f in self.factors]

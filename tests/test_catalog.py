@@ -1,8 +1,11 @@
 """The identity registry and its exact verification runner."""
 
+from dataclasses import replace
+
 import pytest
 
 from qcfrac import catalog
+from qcfrac.cfrac import CFrac
 from qcfrac.catalog import IdentityEntry, IdentityReport
 from qcfrac.errors import UnknownIdentity
 from qcfrac.families import DEFAULT_POINT, ParamPoint, sample_params
@@ -74,12 +77,27 @@ def test_constraint_violation_is_skipped_not_failed():
     assert r.first_mismatch_power is None
 
 
-def test_cf_failure_reports_finite_mismatch():
-    entry = catalog.perturbed_entry("G_CFRAC_g2")
+#: Every continued-fraction entry, with the power at which its perturbed copy
+#: first differs from the target at its first valid seed-0 point.
+CF_FIRST_MISMATCH = {
+    "RR_CF": 1, "RR_SPECIAL": 3, "G_CFRAC_g2": 1, "G_CFRAC_g1": 1, "G_CFRAC_g3": 1,
+    "HEINE_CF": 1, "RAMANUJAN_G1": 1, "RAMANUJAN_G2": 1, "HIRSCHHORN": 1,
+    "HEINE_CF_A": 1, "EISENSTEIN": 1, "PROD_RATIO": 1, "ENTRY11": 3,
+}
+
+
+def test_every_cf_entry_has_a_negative_control():
+    cf_ids = [e.id for e in catalog.register_all() if e.make_cf is not None]
+    assert sorted(cf_ids) == sorted(CF_FIRST_MISMATCH)
+
+
+@pytest.mark.parametrize("entry_id", sorted(CF_FIRST_MISMATCH))
+def test_cf_failure_reports_finite_mismatch(entry_id):
+    entry = catalog.perturbed_entry(entry_id)
     point = first_valid_point(entry)
     report = catalog.verify_entry(entry, point)
     assert report.status == "fail"
-    assert isinstance(report.first_mismatch_power, int)
+    assert report.first_mismatch_power == CF_FIRST_MISMATCH[entry_id]
     assert report.mismatch_rows  # coefficient context for the dump
     power, lhs, rhs = report.mismatch_rows[0]
     assert power == report.first_mismatch_power
@@ -111,6 +129,37 @@ def test_reduction_links_registered():
 ])
 def test_check_reduction(src, tgt):
     assert catalog.check_reduction(src, tgt)
+
+
+LINK_ENDS = pytest.mark.parametrize(
+    "link,end", [(link, end) for link in catalog.REDUCTION_LINKS for end in ("source", "target")],
+    ids=lambda v: v if isinstance(v, str) else f"{v.source}->{v.target}")
+
+
+@LINK_ENDS
+def test_reduction_link_reads_the_registered_fractions(monkeypatch, link, end):
+    """A link compares the registered fractions themselves, so corrupting
+    either end in the registry must make it fail."""
+    entry_id = getattr(link, end)
+    monkeypatch.setitem(catalog._REGISTRY, entry_id, catalog.perturbed_entry(entry_id))
+    assert link.check(sample_params(0, 1)[0], 40) is not None
+
+
+@LINK_ENDS
+def test_reduction_link_compares_partial_denominators(monkeypatch, link, end):
+    entry = catalog.lookup(getattr(link, end))
+
+    def make_cf(p, order):
+        cf = entry.make_cf(p, order)
+
+        def elem(n):
+            an, bn = cf.element(n)
+            return an, bn.scale(2) if n == 2 else bn
+
+        return CFrac(cf.b0, elem)
+
+    monkeypatch.setitem(catalog._REGISTRY, entry.id, replace(entry, make_cf=make_cf))
+    assert link.check(sample_params(0, 1)[0], 40) is not None
 
 
 def test_check_reduction_substitution_must_match():

@@ -32,6 +32,42 @@ def rr_cf(order, a=A):
     return lookup("RR_CF").make_cf(ParamPoint(a, 1, 1), order)
 
 
+def test_from_terms_sums_repeated_powers():
+    half = rational(1, 2)
+    cf = CFrac.from_terms(0, 6, lambda n: (
+        [(1, 2), (half, 2), (3, 1), (-3, 1), (5, 9)], [(1, 0), (n, 0)]))
+    an, bn = cf.element(4)
+    # q^1 cancels, q^2 sums and q^9 lies past the order
+    assert an == QSeries.monomial(rational(3, 2), 2, 6)
+    assert bn == QSeries.constant(5, 6)
+
+
+def test_from_terms_negative_power_raises_when_asked_for():
+    cf = CFrac.from_terms(0, 6, lambda n: ([(1, 1)] if n == 1 else [(1, -1)], [(1, 0)]))
+    assert cf.element(1)[0] == QSeries.monomial(1, 1, 6)
+    with pytest.raises(ValueError):
+        cf.element(2)
+
+
+def test_from_terms_scalar_b0_is_a_series_at_the_order():
+    cf = CFrac.from_terms(rational(2, 3), 9, lambda n: ([(1, n)], [(1, 0)]))
+    assert cf.b0 == QSeries.constant(rational(2, 3), 9)
+    assert cf.order == 9
+    assert approximant(cf, 0) == cf.b0
+
+
+@pytest.mark.parametrize("order", [12, 40])
+def test_entry11_numerators_expand_the_factored_product(order):
+    """a_n = -ab q^n + (a^2+b^2) q^(2n-1) - ab q^(3n-2) = q^(n-2)(aq - bq^n)(aq^n - bq)."""
+    p = ParamPoint(rational(2, 3), rational(-1, 5), 1)
+    cf = lookup("ENTRY11").make_cf(p, order)
+    for n in range(2, 13):
+        factored = (QSeries.monomial(1, n - 2, order)
+                    * QSeries.from_monomials([(p.a, 1), (-p.b, n)], order)
+                    * QSeries.from_monomials([(p.a, n), (-p.b, 1)], order))
+        assert cf.element(n)[0] == factored
+
+
 def test_element_indexing():
     cf = rr_cf(10)
     with pytest.raises(IndexError):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from qcfrac.cli import MAX_DEPTH, MAX_ORDER, MAX_POINTS, RunConfig, main, parse_params
+from qcfrac.cli import (MAX_DEPTH, MAX_ORDER, MAX_POINTS, RunConfig, build_parser, main,
+                        parse_params)
 from qcfrac.families import Family, ParamPoint
 from qcfrac.rationals import rational
 
@@ -80,6 +81,12 @@ def test_verify_perturbed_fails(capsys):
     code, out, _ = run(capsys, "verify", "RR_CF", "--perturb", "--points", "1")
     assert code == 1
     assert "first mismatch at q^" in out
+
+
+def test_parser_built_once_keeps_no_state_between_commands(capsys):
+    assert build_parser() is build_parser()
+    assert run(capsys, "verify", "RR_CF", "--perturb", "--points", "1")[0] == 1
+    assert run(capsys, "verify", "RR_CF", "--points", "1")[0] == 0
 
 
 def test_perturb_rejects_non_cf(capsys):
