@@ -9,7 +9,11 @@ three-term contiguous recurrences that drive the constructions.
 Every entry is declarative: recipes that build exact :class:`QSeries` objects
 at a requested truncation order from an exact rational parameter point.  A
 continued fraction's recipe gives its n-th element as two lists of
-(coef, power) terms, which :meth:`CFrac.from_terms` turns into series.
+(coef, power) terms, which :meth:`CFrac.from_terms` turns into series.  By
+Euler's division, a recurrence F(s) = c1 F(s+1) + c2 F(s+2) is the fraction
+F(s)/F(s+1) = c1 + c2/(F(s+1)/F(s+2)), so each recurrence entry reads
+c1 = b_{s+1} and c2 = a_{s+2} from the fraction it generates; REC_GG2, whose
+family lives on a parameter slice, is the one written out by hand.
 Verification is zero tolerance.  Coefficients are compared as exact
 rationals; a continued-fraction entry must agree with its target ratio
 strictly beyond the approximant depth (the order-of-contact floor), and all
@@ -27,9 +31,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cfrac import CFrac, approximant, modified_approximant
+from .cfrac import CFrac, approximant, equivalence_unit_denominators, modified_approximant
 from .errors import UnknownIdentity
 from .euler import verify_three_term
 from .families import (
@@ -46,6 +51,7 @@ from .families import (
     gfrac5_den_sum,
     hyper_sum,
     limit_pochhammer_scaled,
+    param_stream,
     pochhammer_finite,
     pochhammer_infinite,
     rr_sum,
@@ -67,6 +73,7 @@ CF_KINDS = (CF_SERIES, CF_PRODUCT)
 DEFAULT_ORDER = 40
 DEFAULT_DEPTH = 8
 
+CFFn = Callable[[ParamPoint, int], CFrac]
 PairFn = Callable[[ParamPoint, int], Sequence[Tuple[str, QSeries, QSeries]]]
 RecurrenceFn = Callable[[ParamPoint, int, int], Tuple[QSeries, ...]]
 
@@ -77,9 +84,9 @@ class IdentityEntry:
 
     ``make_cf``/``targets`` are set for continued-fraction kinds, ``pairs``
     holds cross-multiplied exact equalities (usable by every kind), and
-    ``recurrences``/``shifts`` drive three-term checks.  ``constraints`` are
-    (predicate, reason) pairs a sample point must satisfy; a violating point
-    is reported as skipped, never silently dropped.
+    ``recurrence`` is a three-term check run at every shift in ``shifts``.
+    ``constraints`` are (predicate, reason) pairs a sample point must
+    satisfy; a violating point is reported as skipped, never silently dropped.
     """
 
     id: str
@@ -88,10 +95,10 @@ class IdentityEntry:
     display: str = ""
     param_note: str = ""
     constraints: Tuple[Tuple[Callable[[ParamPoint], bool], str], ...] = ()
-    make_cf: Optional[Callable[[ParamPoint, int], CFrac]] = None
+    make_cf: Optional[CFFn] = None
     targets: Optional[Callable[[ParamPoint, int], Tuple[QSeries, QSeries]]] = None
     pairs: Optional[PairFn] = None
-    recurrences: Tuple[RecurrenceFn, ...] = ()
+    recurrence: Optional[RecurrenceFn] = None
     shifts: Tuple[int, int] = (0, 6)
     convergence: str = ""
 
@@ -260,11 +267,16 @@ def _rrs_targets(p: ParamPoint, order: int):
     return rr_sum(1, 0, order), rr_sum(1, 1, order)
 
 
+def _g1_terms(p: ParamPoint, j: int):
+    """The element l q^j / (1 + b q^j): G_CFRAC_g2's n-th for n = j + 1 >= 2,
+    and for every n = j + 1 >= 1 that of the fraction behind REC_G1."""
+    return [(p.lam, j)], [(ONE, 0), (p.b, j)]
+
+
 def _g2cf(p: ParamPoint, n: int):
     if n == 1:
         return _UNIT, _UNIT
-    j = n - 1
-    return [(p.lam, j)], [(ONE, 0), (p.b, j)]
+    return _g1_terms(p, n - 1)
 
 
 def _g_targets(p: ParamPoint, order: int):
@@ -287,6 +299,10 @@ def _g3cf(p: ParamPoint, n: int, b_power: int = 2):
     if n == 1:
         return _UNIT, den
     return [(p.b, b_power), (p.lam, n - 1)], den
+
+
+#: make_cf of the displayed fraction 1/(1-b) + (b+lq)/(1-b) + ... itself.
+_g3_displayed = _cf(lambda p, n: _g3cf(p, n, b_power=0))
 
 
 def _g3_targets(p: ParamPoint, order: int):
@@ -518,14 +534,14 @@ def _eisenstein_pairs(p: ParamPoint, order: int):
 
 def _g3_pairs(p: ParamPoint, order: int):
     # Modified approximants of the displayed fraction with the exact tail
-    # value w_n = (b + lam q^n) g2(n+1)/g2(n) are constant in n.
-    cf = CFrac.from_terms(0, order, lambda n: _g3cf(p, n, b_power=0))
+    # value w_n = a_{n+1} g2(n+1)/g2(n), a_{n+1} = b + lam q^n, are constant in n.
+    cf = _g3_displayed(p, order)
     target = g2_sum(p.b, p.lam, 1, order) * g2_sum(p.b, p.lam, 0, order).inverse()
     out = []
     for n in range(1, 7):
         wn = (g2_sum(p.b, p.lam, n + 1, order)
               * g2_sum(p.b, p.lam, n, order).inverse()
-              * QSeries.from_monomials([(p.b, 0), (p.lam, n)], order))
+              * cf.element(n + 1)[0])
         out.append((f"modified approximant, n = {n}",
                     modified_approximant(cf, n, wn), target))
     return out
@@ -564,33 +580,39 @@ def _entry11_pairs(p: ParamPoint, order: int):
 
 
 # ---------------------------------------------------------------------------
-# Recurrence recipes: each returns (s0, s1, s2, c1, c2) with s0 = c1 s1 + c2 s2
+# Recurrence recipes: each returns (s0, s1, s2, c1, c2) with s0 = c1 s1 + c2 s2.
+# Euler's division gives F(s)/F(s+1) = c1 + c2/(F(s+1)/F(s+2)), so _rec_of reads
+# c1 = b_{s+1} and c2 = a_{s+2} from the family's fraction; REC_GG2 is the exception.
 
 
-def _rec_rr(p: ParamPoint, s: int, order: int):
-    return (rr_sum(p.a, s, order), rr_sum(p.a, s + 1, order), rr_sum(p.a, s + 2, order),
-            QSeries.one(order), QSeries.monomial(p.a, s + 1, order))
+def _rec_of(family: Callable[[ParamPoint, int, int], QSeries], make_cf: CFFn) -> RecurrenceFn:
+    """The three-term relation of ``family(p, s, order)`` whose c1 and c2 are
+    the elements b_{s+1} and a_{s+2} of ``make_cf(p, order)``."""
+    def rec(p: ParamPoint, s: int, order: int):
+        cf = make_cf(p, order)
+        return (family(p, s, order), family(p, s + 1, order), family(p, s + 2, order),
+                cf.element(s + 1)[1], cf.element(s + 2)[0])
+    return rec
 
 
-def _rec_g1(p: ParamPoint, s: int, order: int):
-    b, lam = p.b, p.lam
-    head = _one_plus(b, s, order)
-    return (head * g1_sum(b, s, lam, s, order),
-            g1_sum(b, s + 1, lam, s + 1, order),
-            g1_sum(b, s + 2, lam, s + 2, order),
-            head,
-            QSeries.monomial(lam, s + 1, order) * geometric_inverse(-b, s + 1, order))
+def _registered_cf(entry_id: str) -> CFFn:
+    """make_cf of the entry registered under entry_id when it is called, so a
+    registry replacement reaches the recurrences built on it."""
+    return lambda p, order: lookup(entry_id).make_cf(p, order)
 
 
-def _rec_g2(p: ParamPoint, s: int, order: int):
-    b, lam = p.b, p.lam
-    return (g2_sum(b, lam, s, order), g2_sum(b, lam, s + 1, order),
-            g2_sum(b, lam, s + 2, order),
-            QSeries.constant(1 - b, order),
-            QSeries.from_monomials([(b, 0), (lam, s + 1)], order))
+def _unit_cf(make_cf: CFFn) -> CFFn:
+    """make_cf of the unit-denominator form of make_cf's fraction."""
+    return lambda p, order: equivalence_unit_denominators(make_cf(p, order))
+
+
+def _g1ab_interlaced(p: ParamPoint, t: int, order: int) -> QSeries:
+    """H(2s) = G1A(s), H(2s+1) = G1B(s): RAMANUJAN_G1's family."""
+    return g1ab_sum(p.a, p.b, p.lam, t // 2, order, stagger=t % 2 == 1)
 
 
 def _rec_gg2(p: ParamPoint, s: int, order: int):
+    # G2 sits on the lambda -> lambda q slice, so its c2 is not an element of RAMANUJAN_G2.
     a, b, lam = p.a, p.b, p.lam
     head = _one_plus(a, s + 1, order)
     return (head * g2_big_sum(a, b, lam, s, order),
@@ -599,35 +621,6 @@ def _rec_gg2(p: ParamPoint, s: int, order: int):
             QSeries.from_monomials([(ONE, 0), (a, s + 1), (b, s)], order),
             QSeries.from_monomials([(lam, s + 2), (-a * b, 2 * s + 2)], order)
             * geometric_inverse(-a, s + 2, order))
-
-
-def _rec_g1ab_first(p: ParamPoint, s: int, order: int):
-    a, b, lam = p.a, p.b, p.lam
-    return (g1ab_sum(a, b, lam, s, order, stagger=False),
-            g1ab_sum(a, b, lam, s, order, stagger=True),
-            g1ab_sum(a, b, lam, s + 1, order, stagger=False),
-            QSeries.one(order),
-            QSeries.from_monomials([(a, s + 1), (lam, 2 * s + 1)], order))
-
-
-def _rec_g1ab_second(p: ParamPoint, s: int, order: int):
-    a, b, lam = p.a, p.b, p.lam
-    return (g1ab_sum(a, b, lam, s, order, stagger=True),
-            g1ab_sum(a, b, lam, s + 1, order, stagger=False),
-            g1ab_sum(a, b, lam, s + 1, order, stagger=True),
-            QSeries.one(order),
-            QSeries.from_monomials([(b, s + 1), (lam, 2 * s + 2)], order))
-
-
-def _rec_c(p: ParamPoint, s: int, order: int):
-    a, b = p.a, p.b
-    head = QSeries.from_monomials([(ONE, 0), (-ONE, 2 * s + 1)], order)
-    c2 = (QSeries.monomial(1, s, order)
-          * QSeries.from_monomials([(a, 1), (-b, s + 2)], order)
-          * QSeries.from_monomials([(-b, 1), (a, s + 2)], order)
-          * geometric_inverse(ONE, 2 * s + 3, order))
-    return (head * c_sum(a, b, s, order), c_sum(a, b, s + 1, order),
-            c_sum(a, b, s + 2, order), head, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -895,16 +888,17 @@ _add(IdentityEntry(
     kind=RECURRENCE,
     source="three-term contiguous relation for the Rogers-Ramanujan sums",
     display="R(s) = R(s+1) + a q^(s+1) R(s+2)",
-    recurrences=(_rec_rr,),
+    recurrence=_rec_of(lambda p, s, order: rr_sum(p.a, s, order), _registered_cf("RR_CF")),
 ))
 
 _add(IdentityEntry(
     id="REC_G1",
     kind=RECURRENCE,
     source="contiguous relation for the interlaced one-parameter sums",
-    display="(1+bq^s) g1(s) = (1+bq^s) g1(s+1) + lq^(s+1)/(1+bq^(s+1)) g1(s+2)",
+    display="g1(s) = g1(s+1) + lq^(s+1)/((1+bq^s)(1+bq^(s+1))) g1(s+2)",
     constraints=((lambda p: p.b != -1, "b = -1 is a pole of the s = 0 sum"),),
-    recurrences=(_rec_g1,),
+    recurrence=_rec_of(lambda p, s, order: g1_sum(p.b, s, p.lam, s, order),
+                       _unit_cf(_cf(lambda p, n: _g1_terms(p, n - 1)))),
 ))
 
 _add(IdentityEntry(
@@ -912,7 +906,7 @@ _add(IdentityEntry(
     kind=RECURRENCE,
     source="contiguous relation behind the third one-parameter fraction",
     display="g2(s) = (1-b) g2(s+1) + (b+lq^(s+1)) g2(s+2)",
-    recurrences=(_rec_g2,),
+    recurrence=_rec_of(lambda p, s, order: g2_sum(p.b, p.lam, s, order), _g3_displayed),
 ))
 
 _add(IdentityEntry(
@@ -922,7 +916,7 @@ _add(IdentityEntry(
     display="(1+aq^(s+1)) G2(s) = (1+aq^(s+1)+bq^s) G2(s+1) "
             "+ (lq^(s+2)-abq^(2s+2))/(1+aq^(s+2)) G2(s+2)",
     constraints=(_A_NZ, _L_NZ),
-    recurrences=(_rec_gg2,),
+    recurrence=_rec_gg2,
 ))
 
 _add(IdentityEntry(
@@ -932,17 +926,19 @@ _add(IdentityEntry(
     display="G1A(s) = G1B(s) + (aq^(s+1)+lq^(2s+1)) G1A(s+1); "
             "G1B(s) = G1A(s+1) + (bq^(s+1)+lq^(2s+2)) G1B(s+1)",
     constraints=(_L_NZ,),
-    recurrences=(_rec_g1ab_first, _rec_g1ab_second),
+    recurrence=_rec_of(_g1ab_interlaced, _registered_cf("RAMANUJAN_G1")),
+    shifts=(0, 13),
 ))
 
 _add(IdentityEntry(
     id="REC_C",
     kind=RECURRENCE,
     source="contiguous relation for the Entry 11 tail sums",
-    display="(1-q^(2s+1)) C(s) = (1-q^(2s+1)) C(s+1) "
-            "+ q^s (aq-bq^(s+2))(aq^(s+2)-bq)/(1-q^(2s+3)) C(s+2)",
+    display="C(s) = C(s+1) "
+            "+ q^s (aq-bq^(s+2))(aq^(s+2)-bq)/((1-q^(2s+1))(1-q^(2s+3))) C(s+2)",
     constraints=(_A_NZ,),
-    recurrences=(_rec_c,),
+    recurrence=_rec_of(lambda p, s, order: c_sum(p.a, p.b, s, order),
+                       _unit_cf(_registered_cf("ENTRY11"))),
     shifts=(1, 6),
 ))
 
@@ -1145,13 +1141,12 @@ def _check_pairs(entry: IdentityEntry, p: ParamPoint, order: int):
 def _check_recurrences(entry: IdentityEntry, p: ParamPoint, order: int):
     lo, hi = entry.shifts
     for s in range(lo, hi + 1):
-        for rec in entry.recurrences:
-            s0, s1, s2, c1, c2 = rec(p, s, order)
-            fm = verify_three_term(s0, s1, s2, c1, c2)
-            if fm is not None:
-                _, rows = _cmp(s0, c1 * s1 + c2 * s2)
-                return ("fail", fm,
-                        f"three-term relation at shift {s} differs at q^{fm}", rows)
+        s0, s1, s2, c1, c2 = entry.recurrence(p, s, order)
+        fm = verify_three_term(s0, s1, s2, c1, c2)
+        if fm is not None:
+            _, rows = _cmp(s0, c1 * s1 + c2 * s2)
+            return ("fail", fm,
+                    f"three-term relation at shift {s} differs at q^{fm}", rows)
     return "pass", None, "", ()
 
 
@@ -1165,14 +1160,12 @@ def _verify_entry(entry: IdentityEntry, point: ParamPoint,
     status, fm, reason, rows = "pass", None, "", ()
     if entry.kind in CF_KINDS:
         status, fm, reason, rows = _check_cf(entry, point, order, depth)
-    if status == "pass" and entry.pairs is not None:
-        pstatus, pfm, preason, prows = _check_pairs(entry, point, order)
-        if pstatus == "fail":
-            status, fm, reason, rows = pstatus, pfm, preason, prows
-    if status == "pass" and entry.recurrences:
-        status2, fm2, reason2, rows2 = _check_recurrences(entry, point, order)
-        if status2 == "fail":
-            status, fm, reason, rows = status2, fm2, reason2, rows2
+    # a pass keeps the fraction's first mismatch past depth until a later check fails
+    for check, recipe in ((_check_pairs, entry.pairs), (_check_recurrences, entry.recurrence)):
+        if status == "pass" and recipe is not None:
+            outcome = check(entry, point, order)
+            if outcome[0] == "fail":
+                status, fm, reason, rows = outcome
     return IdentityReport(entry.id, point, order, depth, status, fm, reason,
                           elapsed=time.perf_counter() - started,
                           mismatch_rows=rows)
@@ -1196,20 +1189,18 @@ def verify(entry_id: str, point: ParamPoint,
     return verify_entry(lookup(entry_id), point, order, depth)
 
 
-def _point_stream(seed: int) -> Iterator[ParamPoint]:
-    count = 32
-    idx = 0
-    while True:
-        pts = sample_params(seed, count)
-        while idx < len(pts):
-            yield pts[idx]
-            idx += 1
-        count *= 2
+def run_entry(entry: IdentityEntry, seed: int = 0, points: int = 3,
+              order: int = DEFAULT_ORDER,
+              depth: int = DEFAULT_DEPTH) -> List[IdentityReport]:
+    """Exercise one entry at ``points`` sampled valid parameter points.
 
-
-def _run_entry(entry: IdentityEntry, seed: int, points: int,
-               order: int, depth: int) -> List[IdentityReport]:
-    stream = _point_stream(seed)
+    Same semantics as the per-entry portion of :func:`verify_all`,
+    including skipped reports for constraint-violating draws and the
+    mixed-verdict escalation.
+    """
+    if points < 1:
+        raise ValueError("points must be at least 1")
+    stream = param_stream(seed)
     reports: List[IdentityReport] = []
     valid = 0
     while valid < points:
@@ -1222,30 +1213,12 @@ def _run_entry(entry: IdentityEntry, seed: int, points: int,
     if verdicts == {"pass", "fail"}:
         # Schwartz-Zippel escalation: a lone disagreement among passing
         # points smells like accidental cancellation, so look harder.
-        extra = 0
-        while extra < 5:
-            p = next(stream)
-            if entry.constraint_failure(p) is not None:
-                continue
+        valid_points = (p for p in stream if entry.constraint_failure(p) is None)
+        for p in islice(valid_points, 5):
             rep = _verify_entry(entry, p, order, depth)
             rep.escalated = True
             reports.append(rep)
-            extra += 1
     return reports
-
-
-def run_entry(entry: IdentityEntry, seed: int = 0, points: int = 3,
-              order: int = DEFAULT_ORDER,
-              depth: int = DEFAULT_DEPTH) -> List[IdentityReport]:
-    """Exercise one entry at ``points`` sampled valid parameter points.
-
-    Same semantics as the per-entry portion of :func:`verify_all`,
-    including skipped reports for constraint-violating draws and the
-    mixed-verdict escalation.
-    """
-    if points < 1:
-        raise ValueError("points must be at least 1")
-    return _run_entry(entry, seed, points, order, depth)
 
 
 def verify_all(seed: int = 0, points: int = 3, order: int = DEFAULT_ORDER,
@@ -1258,11 +1231,9 @@ def verify_all(seed: int = 0, points: int = 3, order: int = DEFAULT_ORDER,
     trigger a five-point escalation, flagged in the summary under
     ``suspected_cancellation``.  Reports come back sorted by id.
     """
-    if points < 1:
-        raise ValueError("points must be at least 1")
     reports: List[IdentityReport] = []
     for entry in register_all():
-        reports.extend(_run_entry(entry, seed, points, order, depth))
+        reports.extend(run_entry(entry, seed, points, order, depth))
     for link in REDUCTION_LINKS:
         started = time.perf_counter()
         point = sample_params(seed, 1)[0]
@@ -1306,7 +1277,7 @@ def perturbed_entry(entry_id: str) -> IdentityEntry:
 
         return CFrac(cf.b0, elem)
 
-    return replace(entry, make_cf=wrapped, pairs=None, recurrences=())
+    return replace(entry, make_cf=wrapped, pairs=None, recurrence=None)
 
 
 # ---------------------------------------------------------------------------

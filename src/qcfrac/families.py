@@ -19,7 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List
+from itertools import islice
+from typing import Callable, Iterator, List
 
 from .errors import FormallyDivergentProduct, PoleAtParameter, UnsupportedShift
 from .rationals import ONE, format_rational, rational
@@ -124,13 +125,13 @@ class ParamPoint:
 DEFAULT_POINT = ParamPoint(rational(1), rational(1, 2), rational(1, 3))
 
 
-def sample_params(seed: int, count: int) -> List[ParamPoint]:
-    """Deterministic stream of small exact parameter points.
+def param_stream(seed: int) -> Iterator[ParamPoint]:
+    """Endless deterministic stream of small exact parameter points.
 
     Numerators are uniform over [-9, 9] without 0 and denominators over
     [2, 16], which keeps every slot nonzero and coefficient growth tame.
-    The same (seed, count) always yields the same list, so verification runs
-    are reproducible byte for byte.
+    The same seed always yields the same points in the same order, so
+    verification runs are reproducible byte for byte.
     """
     rng = random.Random(seed)
 
@@ -140,7 +141,13 @@ def sample_params(seed: int, count: int) -> List[ParamPoint]:
             n += 1
         return rational(n, rng.randint(2, 16))
 
-    return [ParamPoint(draw(), draw(), draw()) for _ in range(count)]
+    while True:
+        yield ParamPoint(draw(), draw(), draw())
+
+
+def sample_params(seed: int, count: int) -> List[ParamPoint]:
+    """The first ``count`` points of :func:`param_stream`."""
+    return list(islice(param_stream(seed), count))
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,9 @@ def test_03_three_term_recurrences_hold_across_shifts():
         lo, hi = entry.shifts
         for point in _valid_points(entry, 3):
             for s in range(lo, hi + 1):
-                for rec in entry.recurrences:
-                    s0, s1, s2, c1, c2 = rec(point, s, 40)
-                    assert verify_three_term(s0, s1, s2, c1, c2) is None, (
-                        entry_id, str(point), s)
+                s0, s1, s2, c1, c2 = entry.recurrence(point, s, 40)
+                assert verify_three_term(s0, s1, s2, c1, c2) is None, (
+                    entry_id, str(point), s)
 
 
 def test_04_order_of_contact_exceeds_depth_and_grows():

@@ -131,6 +131,22 @@ def test_check_reduction(src, tgt):
     assert catalog.check_reduction(src, tgt)
 
 
+def doubled_element(make_cf, n, part):
+    """make_cf with a_n (part 0) or b_n (part 1) of its fraction doubled."""
+    def make(p, order):
+        cf = make_cf(p, order)
+
+        def elem(m):
+            pair = list(cf.element(m))
+            if m == n:
+                pair[part] = pair[part].scale(2)
+            return tuple(pair)
+
+        return CFrac(cf.b0, elem)
+
+    return make
+
+
 LINK_ENDS = pytest.mark.parametrize(
     "link,end", [(link, end) for link in catalog.REDUCTION_LINKS for end in ("source", "target")],
     ids=lambda v: v if isinstance(v, str) else f"{v.source}->{v.target}")
@@ -148,18 +164,47 @@ def test_reduction_link_reads_the_registered_fractions(monkeypatch, link, end):
 @LINK_ENDS
 def test_reduction_link_compares_partial_denominators(monkeypatch, link, end):
     entry = catalog.lookup(getattr(link, end))
-
-    def make_cf(p, order):
-        cf = entry.make_cf(p, order)
-
-        def elem(n):
-            an, bn = cf.element(n)
-            return an, bn.scale(2) if n == 2 else bn
-
-        return CFrac(cf.b0, elem)
-
+    make_cf = doubled_element(entry.make_cf, 2, part=1)
     monkeypatch.setitem(catalog._REGISTRY, entry.id, replace(entry, make_cf=make_cf))
     assert link.check(sample_params(0, 1)[0], 40) is not None
+
+
+#: Each recurrence whose c1 and c2 are read from a fraction, with where that
+#: fraction comes from: a registered entry, or the catalog's term recipe.
+DERIVED_RECURRENCES = [
+    ("REC_RR", "RR_CF"),
+    ("REC_G1AB", "RAMANUJAN_G1"),
+    ("REC_C", "ENTRY11"),
+    ("REC_G2", "_g3cf"),
+    ("REC_G1", "_g1_terms"),
+]
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+@pytest.mark.parametrize("rec_id,source", DERIVED_RECURRENCES)
+def test_recurrence_reads_its_fraction(monkeypatch, rec_id, source, end):
+    """Doubling a_n with n = s + 2 breaks c2 at shift s, at both ends of the
+    entry's shift range, so the recurrence must fail exactly there."""
+    entry = catalog.lookup(rec_id)
+    s = dict(zip(("lo", "hi"), entry.shifts))[end]
+    n = s + 2
+    if source in catalog._REGISTRY:
+        base = catalog.lookup(source)
+        make_cf = doubled_element(base.make_cf, n, part=0)
+        monkeypatch.setitem(catalog._REGISTRY, source, replace(base, make_cf=make_cf))
+    else:
+        recipe = getattr(catalog, source)
+        # _g1_terms(p, j) is element j + 1; _g3cf(p, n) is element n
+        index = n - 1 if source == "_g1_terms" else n
+
+        def doubled(p, m, **kwargs):
+            a_terms, b_terms = recipe(p, m, **kwargs)
+            return [(2 * c, e) for c, e in a_terms] if m == index else a_terms, b_terms
+
+        monkeypatch.setattr(catalog, source, doubled)
+    report = catalog.verify(rec_id, first_valid_point(entry))
+    assert report.status == "fail"
+    assert report.reason.startswith(f"three-term relation at shift {s} ")
 
 
 def test_check_reduction_substitution_must_match():

@@ -238,12 +238,13 @@ def _benchmark_workloads():
 
 
 def test_benchmark_commands_reproduce_golden_digests(capsys):
-    """The seed-0 catalog pass, contact tables and Euler expansions match their recorded outputs."""
+    """The catalog passes of seeds 0-9 and the seed-0 contact tables and Euler
+    expansions match their recorded outputs."""
     workloads = _benchmark_workloads()
     golden = workloads.load_golden()
-    commands = (workloads.catalog_commands(0) + workloads.contact_commands(0)
-                + workloads.expand_commands(0))
-    assert len(commands) == 70
+    commands = [command for seed in range(10) for command in workloads.catalog_commands(seed)]
+    commands += workloads.contact_commands(0) + workloads.expand_commands(0)
+    assert len(commands) == 79
     assert all(command.key in golden for command in commands)
     problems = []
     for command in commands:

@@ -23,6 +23,7 @@ from qcfrac.families import (
     gfrac5_den_sum,
     hyper_sum,
     limit_pochhammer_scaled,
+    param_stream,
     pochhammer_finite,
     pochhammer_infinite,
     rr_sum,
@@ -366,6 +367,12 @@ def test_sample_params_deterministic_and_nonzero():
 
 def test_sample_params_prefix_stable():
     assert sample_params(3, 40)[:12] == sample_params(3, 12)
+
+
+def test_param_stream_extends_sample_params():
+    stream = param_stream(5)
+    assert [next(stream) for _ in range(40)] == sample_params(5, 40)
+    assert next(stream) == sample_params(5, 41)[40]
 
 
 @given(st.integers(min_value=0, max_value=1000))
