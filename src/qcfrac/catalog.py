@@ -15,10 +15,14 @@ F(s)/F(s+1) = c1 + c2/(F(s+1)/F(s+2)), so each recurrence entry reads
 c1 = b_{s+1} and c2 = a_{s+2} from the fraction it generates; REC_GG2, whose
 family lives on a parameter slice, is the one written out by hand.
 Verification is zero tolerance.  Coefficients are compared as exact
-rationals; a continued-fraction entry must agree with its target ratio
-strictly beyond the approximant depth (the order-of-contact floor), and all
-other kinds must match coefficient for coefficient after cross-multiplying,
-so no division happens against a non-unit series.
+rationals.  A continued-fraction entry is checked by its error walk
+(``cfrac.contacts``) against the floor F(n) = val(a_1) + ... + val(a_{n+1})
+that a true identity must reach at depth n: its contact at the requested
+depth must reach F(depth) (or pass the order), and its approximant at d*,
+the first depth whose floor passes the order (capped at order + 1), must
+agree with the target through the whole order.  All other kinds must match
+coefficient for coefficient after cross-multiplying, so no division happens
+against a non-unit series.
 
 A few entries are verified on a q-shifted parameter slice (noted per entry).
 The slice turns scalar-coefficient partial numerators into q-graded ones, so
@@ -34,7 +38,8 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cfrac import CFrac, approximant, equivalence_unit_denominators, modified_approximant
+from .cfrac import (CFrac, approximant, contacts, equivalence_unit_denominators,
+                    modified_approximant)
 from .errors import UnknownIdentity
 from .euler import verify_three_term
 from .families import (
@@ -1121,13 +1126,34 @@ def check_reduction(source_id: str, target_id: str,
 
 
 def _check_cf(entry: IdentityEntry, p: ParamPoint, order: int, depth: int):
+    """The fraction against num/den by its error walk (see ``cfrac.contacts``).
+
+    It fails when the contact at ``depth`` is below the floor F(depth), or
+    when the approximant at d*, the first depth whose floor passes the
+    horizon (capped at horizon + 1), is not exact through the horizon.
+    """
     cf = entry.make_cf(p, order)
     num, den = entry.targets(p, order)
-    ratio = num * den.inverse()
-    fm, rows = _cmp(approximant(cf, depth), ratio)
-    if fm is not None and fm <= depth:
-        return "fail", fm, f"approximant at depth {depth} already differs at q^{fm}", rows
-    return "pass", fm, "", ()
+    horizon = min(cf.order, num.order, den.order)
+    shallow = deep = None
+    for n, contact, floor in contacts(cf, num, den):
+        if n == depth:
+            shallow = contact, min(floor, horizon + 1)
+        if deep is None and (floor > horizon or n > horizon):
+            deep = n, contact
+        if shallow and deep:
+            break
+    fm, bound = shallow
+    if fm is not None and fm < bound:
+        n, reason = depth, (f"approximant at depth {depth} already differs at q^{fm}, "
+                            f"below its contact floor q^{bound}")
+    elif deep[1] is not None:
+        n, fm = deep
+        reason = f"approximant at depth {n} still differs at q^{fm}, not exact through q^{horizon}"
+    else:
+        return "pass", fm, "", ()
+    _, rows = _cmp(approximant(cf, n), num * den.inverse())
+    return "fail", fm, reason, rows
 
 
 def _check_pairs(entry: IdentityEntry, p: ParamPoint, order: int):

@@ -7,6 +7,15 @@ the classical three-term recurrence for the convergent numerators and
 denominators; a modified approximant replaces the terminating 0 with a
 supplied tail value, which is how tail identities are checked exactly.
 
+How far each approximant agrees with a target N/D is read from the error
+walk :func:`contacts` instead: E_n = A_n D - B_n N obeys the same
+recurrence, E_n = b_n E_{n-1} + a_n E_{n-2} from E_{-1} = D and
+E_0 = b0 D - N, and since B_n and D are units, val(E_n) is the first power
+where A_n/B_n differs from N/D.  No series is inverted.  Next to it the walk
+gives the floor F(n) = val(a_1) + ... + val(a_{n+1}): A_n/B_n - A_{n-1}/B_{n-1}
+= +-a_1...a_n / (B_n B_{n-1}), so a fraction that does equal N/D agrees with
+it at depth n through q^(F(n) - 1) at least.
+
 The numeric side evaluates the polynomial elements at an exact rational q0
 and only then drops to floating point, iterating backward; the Worpitzky
 index reports from which element onward the partial numerators sit inside
@@ -15,9 +24,9 @@ the classical |a_n| <= 1/4 convergence region.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
-from .errors import HorizonExceeded, NonUnitDenominator, NumericBlowup
+from .errors import HorizonExceeded, NonUnitDenominator, NonUnitSeries, NumericBlowup
 from .rationals import rational
 from .series import QSeries
 
@@ -106,6 +115,41 @@ class Convergents:
         if not den.is_unit():
             raise NonUnitDenominator(f"modified B_{self.n} has zero constant term")
         return (self.num + self.num_prev * w) * den.inverse()
+
+
+def contacts(cf: CFrac, num: QSeries, den: QSeries) -> Iterator[Tuple[int, Optional[int], int]]:
+    """Yield (n, contact, floor) for n = 1, 2, ... against the target num/den.
+
+    ``contact`` is the valuation of the error E_n = A_n den - B_n num, the
+    first power where A_n/B_n differs from num/den (None when they agree
+    through the truncation), and ``floor`` is F(n) = val(a_1) + ... +
+    val(a_{n+1}), a zero truncation counting as order + 1.  The walk never
+    divides: E_n = b_n E_{n-1} + a_n E_{n-2} from E_{-1} = den and
+    E_0 = b0 den - num, and only the constant term of B_n is followed, to
+    raise NonUnitDenominator at the first B_n that is not a unit.  A non-unit
+    den raises NonUnitSeries, as inverting it would.
+    """
+    if not den.is_unit():
+        raise NonUnitSeries("cannot invert a series with zero constant term")
+    e_prev, e = den, cf.b0 * den - num
+    horizon = e.order
+
+    def val(a: QSeries) -> int:
+        v = a.valuation()
+        return horizon + 1 if v is None else v
+
+    b_prev, b = 0, 1  # constant terms of B_{n-1} and B_n
+    floor = val(cf.element(1)[0])
+    n = 0
+    while True:
+        n += 1
+        an, bn = cf.element(n)
+        b_prev, b = b, bn[0] * b + an[0] * b_prev
+        if b == 0:
+            raise NonUnitDenominator(f"B_{n} has zero constant term")
+        e_prev, e = e, bn * e + an * e_prev
+        floor += val(cf.element(n + 1)[0])
+        yield n, e.valuation(), floor
 
 
 def approximant(cf: CFrac, n: int, order: Optional[int] = None) -> QSeries:

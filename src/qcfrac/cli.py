@@ -14,10 +14,11 @@ import argparse
 import functools
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Sequence
 
 from . import catalog
-from .cfrac import approximant, numeric_cf, numeric_value, worpitzky_index
+from .cfrac import contacts, numeric_cf, numeric_value, worpitzky_index
 from .errors import (
     HorizonExceeded,
     PrecisionExhausted,
@@ -241,7 +242,6 @@ def cmd_approximants(args: argparse.Namespace) -> int:
 
     cf = entry.make_cf(point, cfg.order)
     num, den = entry.targets(point, cfg.order)
-    ratio = num * den.inverse()
 
     lines: List[str] = []
     at_q = None
@@ -261,8 +261,7 @@ def cmd_approximants(args: argparse.Namespace) -> int:
         header += "\tvalue\tdelta"
     lines.append(header)
     prev_val = None
-    for n in range(1, cfg.depth + 1):
-        fm = approximant(cf, n).first_mismatch(ratio)
+    for n, fm, _ in islice(contacts(cf, num, den), cfg.depth):
         contact = str(fm) if fm is not None else f">{cfg.order}"
         row = f"{n}\t{contact}"
         if ncf is not None:

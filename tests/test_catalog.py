@@ -147,6 +147,53 @@ def doubled_element(make_cf, n, part):
     return make
 
 
+#: Each fraction's d* at its first valid seed-0 point and order 40: the least
+#: depth whose contact floor F(n) = val(a_1) + ... + val(a_{n+1}) passes q^40.
+CF_DSTAR = {
+    "RR_CF": 9, "RR_SPECIAL": 8, "G_CFRAC_g2": 9, "G_CFRAC_g1": 11, "G_CFRAC_g3": 21,
+    "HEINE_CF": 10, "RAMANUJAN_G1": 12, "RAMANUJAN_G2": 9, "HIRSCHHORN": 21,
+    "HEINE_CF_A": 11, "EISENSTEIN": 11, "PROD_RATIO": 11, "ENTRY11": 8,
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(CF_DSTAR))
+def test_cf_check_rejects_every_doubled_element(entry_id):
+    """Doubling any a_m or b_m up to max(depth, d*) must fail the fraction
+    check by itself: below depth by the floor, past it at d*."""
+    entry = catalog.lookup(entry_id)
+    point = first_valid_point(entry)
+    escaped = []
+    for m in range(1, max(8, CF_DSTAR[entry_id]) + 1):
+        for part in (0, 1):
+            corrupted = replace(entry, make_cf=doubled_element(entry.make_cf, m, part))
+            if catalog._check_cf(corrupted, point, 40, 8)[0] != "fail":
+                escaped.append(("ab"[part], m))
+    assert escaped == []
+
+
+def test_deep_cf_failure_reports_its_contact_at_dstar():
+    entry = catalog.lookup("RR_CF")
+    corrupted = replace(entry, make_cf=doubled_element(entry.make_cf, 9, 0))
+    status, fm, reason, rows = catalog._check_cf(corrupted, first_valid_point(entry), 40, 8)
+    assert status == "fail"
+    assert reason.startswith("approximant at depth 9 ")
+    assert rows[0][0] == fm
+
+
+def test_cf_check_with_no_floor_ends_at_the_horizon_cap():
+    """Constant partial numerators 1/4 give F(n) = 0 at every depth, so the
+    walk stops at d* = order + 1 and the rational target fails there."""
+    quarter = IdentityEntry(
+        id="QUARTER", kind="cf_equals_series_ratio", source="test fixture",
+        make_cf=lambda p, order: CFrac.from_terms(0, order, lambda n: (
+            [(rational(1, 4), 0)], [(1, 0)])),
+        targets=lambda p, order: (QSeries.constant(rational(1, 5), order),
+                                  QSeries.one(order)))
+    status, fm, reason, _ = catalog._check_cf(quarter, DEFAULT_POINT, 40, 8)
+    assert (status, fm) == ("fail", 0)
+    assert reason.startswith("approximant at depth 41 ")
+
+
 LINK_ENDS = pytest.mark.parametrize(
     "link,end", [(link, end) for link in catalog.REDUCTION_LINKS for end in ("source", "target")],
     ids=lambda v: v if isinstance(v, str) else f"{v.source}->{v.target}")

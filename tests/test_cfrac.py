@@ -2,6 +2,7 @@
 tails, the equivalence transform, and numeric evaluation."""
 
 import math
+from itertools import islice
 
 import pytest
 
@@ -10,6 +11,7 @@ from qcfrac.cfrac import (
     Convergents,
     NumericCF,
     approximant,
+    contacts,
     equivalence_unit_denominators,
     modified_approximant,
     numeric_cf,
@@ -18,9 +20,9 @@ from qcfrac.cfrac import (
     tail,
     worpitzky_index,
 )
-from qcfrac.errors import HorizonExceeded, NonUnitDenominator, NumericBlowup
-from qcfrac.families import ParamPoint, rr_sum
-from qcfrac.catalog import lookup
+from qcfrac.errors import HorizonExceeded, NonUnitDenominator, NonUnitSeries, NumericBlowup
+from qcfrac.families import ParamPoint, rr_sum, sample_params
+from qcfrac.catalog import lookup, register_all
 from qcfrac.rationals import rational
 from qcfrac.series import QSeries, geometric_inverse
 
@@ -181,6 +183,54 @@ def test_approximant_non_unit_denominator():
                 lambda n: (QSeries.constant(-1, 10), QSeries.one(10)))
     with pytest.raises(NonUnitDenominator):
         approximant(bad, 2)
+
+
+CF_ENTRIES = [e for e in register_all() if e.make_cf is not None]
+
+
+@pytest.mark.parametrize("entry", CF_ENTRIES, ids=lambda e: e.id)
+def test_contact_walk_matches_the_approximants(entry):
+    """At three seed-0 points, the walk's contact is where A_n/B_n first
+    differs from num/den, and never below the floor F(n)."""
+    points = [p for p in sample_params(0, 64) if entry.constraint_failure(p) is None][:3]
+    assert len(points) == 3
+    for point in points:
+        cf = entry.make_cf(point, 40)
+        num, den = entry.targets(point, 40)
+        ratio = num * den.inverse()
+        for n, contact, floor in islice(contacts(cf, num, den), 12):
+            assert contact == approximant(cf, n).first_mismatch(ratio)
+            assert contact is None or floor <= contact
+
+
+def test_contact_floor_sums_the_numerator_valuations():
+    # a_1 = 1 and a_n = a q^(n-1): F(n) = 0 + 1 + ... + n
+    walk = contacts(rr_cf(40), rr_sum(A, 1, 40), rr_sum(A, 0, 40))
+    assert [floor for _, _, floor in islice(walk, 10)] == [
+        n * (n + 1) // 2 for n in range(1, 11)]
+
+
+def test_contact_floor_counts_a_zero_numerator_past_the_order():
+    cf = CFrac(QSeries.zero(10), lambda n: (
+        QSeries.zero(10) if n == 3 else QSeries.one(10), QSeries.one(10)))
+    walk = contacts(cf, QSeries.one(10), QSeries.constant(2, 10))
+    assert [floor for _, _, floor in islice(walk, 3)] == [0, 11, 11]
+
+
+def test_contact_walk_raises_at_the_first_non_unit_denominator():
+    # b_n = -a_n = 1 makes B_2 = 1 - 1 = 0
+    bad = CFrac(QSeries.zero(10),
+                lambda n: (QSeries.constant(-1, 10), QSeries.one(10)))
+    walk = contacts(bad, QSeries.one(10), QSeries.one(10))
+    assert next(walk)[0] == 1
+    with pytest.raises(NonUnitDenominator, match="B_2 "):
+        next(walk)
+
+
+def test_contact_walk_needs_a_unit_target_denominator():
+    walk = contacts(rr_cf(10), QSeries.one(10), QSeries.monomial(1, 1, 10))
+    with pytest.raises(NonUnitSeries, match="zero constant term"):
+        next(walk)
 
 
 def test_worpitzky_index_of_rr_tail():

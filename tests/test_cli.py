@@ -2,15 +2,19 @@
 
 import importlib.util
 import json
+import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from qcfrac import catalog
 from qcfrac.cli import (MAX_DEPTH, MAX_ORDER, MAX_POINTS, RunConfig, build_parser, main,
                         parse_params)
 from qcfrac.families import Family, ParamPoint
 from qcfrac.rationals import rational
+from qcfrac.series import QSeries
 
 
 def run(capsys, *argv):
@@ -206,6 +210,15 @@ def test_approximants_rejects_non_cf(capsys):
     assert "not a continued-fraction entry" in err
 
 
+def test_approximants_non_unit_target_is_a_usage_error(capsys, monkeypatch):
+    entry = catalog.lookup("RR_CF")
+    monkeypatch.setitem(catalog._REGISTRY, "RR_CF", replace(
+        entry, targets=lambda p, order: (QSeries.one(order), QSeries.monomial(1, 1, order))))
+    code, out, err = run(capsys, "approximants", "RR_CF", "--depth", "3")
+    assert (code, out) == (2, "")
+    assert err == "cannot invert a series with zero constant term\n"
+
+
 def test_euclid_examples(capsys):
     code, out, _ = run(capsys, "euclid", "13/8")
     assert code == 0
@@ -238,13 +251,14 @@ def _benchmark_workloads():
 
 
 def test_benchmark_commands_reproduce_golden_digests(capsys):
-    """The catalog passes of seeds 0-9 and the seed-0 contact tables and Euler
+    """The catalog passes and contact tables of seeds 0-9 and the seed-0 Euler
     expansions match their recorded outputs."""
     workloads = _benchmark_workloads()
     golden = workloads.load_golden()
-    commands = [command for seed in range(10) for command in workloads.catalog_commands(seed)]
-    commands += workloads.contact_commands(0) + workloads.expand_commands(0)
-    assert len(commands) == 79
+    commands = [command for seed in range(10)
+                for command in workloads.catalog_commands(seed) + workloads.contact_commands(seed)]
+    commands += workloads.expand_commands(0)
+    assert len(commands) == 430
     assert all(command.key in golden for command in commands)
     problems = []
     for command in commands:
@@ -253,3 +267,20 @@ def test_benchmark_commands_reproduce_golden_digests(capsys):
         if why is not None:
             problems.append(f"{command.key}: {why}")
     assert problems == []
+
+
+def test_benchmark_selftest_and_traced_catalog_pass():
+    """The benchmark's own gates: its self-test of the output checks, and a
+    traced catalog pass whose spans and outputs it accepts."""
+    root = Path(__file__).resolve().parents[1]
+
+    def last_line(*argv):
+        done = subprocess.run([sys.executable, *argv], cwd=root, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]
+
+    assert last_line("perfbench/selftest.py") == "selftest passed"
+    outcome = json.loads(last_line("perfbench/run.py", "--workload", "catalog", "--seed", "0",
+                                   "--seconds", "0", "--trace", "1"))
+    assert outcome["correct"] is True
