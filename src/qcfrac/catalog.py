@@ -61,6 +61,7 @@ from .families import (
     pochhammer_infinite,
     rr_sum,
     sample_params,
+    shared_sums,
 )
 from .rationals import ONE, ZERO, format_rational, parse_rational, rational
 from .series import QMonomial, QSeries, geometric_inverse
@@ -158,11 +159,9 @@ def _one_plus(coef, power: int, order: int) -> QSeries:
 
 
 def _qbin_term(a, b, k: int, order: int) -> QSeries:
-    """u_k = prod_{i<k}(a + b q^i) / (q; q)_k."""
-    out = QSeries.one(order)
-    for i in range(k):
-        out = out * QSeries.from_monomials([(a, 0), (b, i)], order)
-    return out * pochhammer_finite(QMonomial(ONE, 1), k, order).inverse()
+    """u_k = prod_{i<k}(a + b q^i) / (q; q)_k, as one term-ratio step from 1."""
+    return QSeries.one(order).times_ratio(ONE, 0, [[(a, 0), (b, i)] for i in range(k)],
+                                          [(ONE, j) for j in range(1, k + 1)])
 
 
 def _qbin_partial(a, b, upto: int, order: int) -> QSeries:
@@ -1215,6 +1214,7 @@ def verify(entry_id: str, point: ParamPoint,
     return verify_entry(lookup(entry_id), point, order, depth)
 
 
+@shared_sums()
 def run_entry(entry: IdentityEntry, seed: int = 0, points: int = 3,
               order: int = DEFAULT_ORDER,
               depth: int = DEFAULT_DEPTH) -> List[IdentityReport]:
@@ -1247,6 +1247,7 @@ def run_entry(entry: IdentityEntry, seed: int = 0, points: int = 3,
     return reports
 
 
+@shared_sums()
 def verify_all(seed: int = 0, points: int = 3, order: int = DEFAULT_ORDER,
                depth: int = DEFAULT_DEPTH) -> Tuple[List[IdentityReport], Dict]:
     """Run every registered identity plus every reduction link.

@@ -10,6 +10,11 @@ integer pass per factor, O(order) for each denominator factor, so no series
 is ever inverted or built as a factor while a sum is built, and
 coefficients stay inside the series kernel.
 
+Checks at neighbouring shifts need the same sums, so inside a
+:func:`shared_sums` block (one ``catalog.verify_all`` or ``run_entry`` call)
+each :func:`hyper_sum` and :func:`pochhammer_infinite` is built once, under
+the key its docstring names.  Outside a block nothing is kept.
+
 Two families (G2 and C) are defined here on a q-shifted parameter slice; see
 :func:`build_family` for the convention and the reason.
 """
@@ -17,14 +22,43 @@ Two families (G2 and C) are defined here on a q-shifted parameter slice; see
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import islice
-from typing import Callable, Iterator, List
+from operator import mul
+from typing import Callable, Iterator, List, Optional
 
 from .errors import FormallyDivergentProduct, PoleAtParameter, UnsupportedShift
 from .rationals import ONE, format_rational, rational
 from .series import QMonomial, QSeries
+
+
+#: Sums kept while a :func:`shared_sums` block is open; None outside one.
+_share: Optional[dict] = None
+
+
+@contextmanager
+def shared_sums() -> Iterator[None]:
+    """Keep built sums until the outermost block ends; a nested block joins it."""
+    global _share
+    outer = _share is None
+    _share = {} if outer else _share
+    try:
+        yield
+    finally:
+        if outer:
+            _share = None
+
+
+def _shared(key: tuple, build: Callable, *args) -> QSeries:
+    """build(*args), kept under key while a share is open (an unhashable key raises)."""
+    if _share is None:
+        return build(*args)
+    if key not in _share:
+        _share[key] = build(*args)
+    return _share[key]
 
 
 def _one_minus(coef, power: int, order: int) -> QSeries:
@@ -45,13 +79,9 @@ def pochhammer_finite(base: QMonomial, k: int, order: int) -> QSeries:
     if k < 0:
         raise ValueError("Pochhammer length must be nonnegative")
     c = rational(base.coef)
-    out = QSeries.one(order)
-    for j in range(k):
-        p = base.power + j
-        if p > order:
-            break
-        out = out * _one_minus(c, p, order)
-    return out
+    stop = min(base.power + k, order + 1)
+    return reduce(mul, (_one_minus(c, p, order) for p in range(base.power, stop)),
+                  QSeries.one(order))
 
 
 def pochhammer_infinite(base: QMonomial, order: int, step: int = 1) -> QSeries:
@@ -60,7 +90,8 @@ def pochhammer_infinite(base: QMonomial, order: int, step: int = 1) -> QSeries:
     The base must carry a positive power of q; a scalar base would move the
     constant term infinitely often, so there is no formal limit and
     FormallyDivergentProduct is raised.  step > 1 gives the even/odd-modulus
-    products such as (q^2; q^2)_inf or (q; q^2)_inf.
+    products such as (q^2; q^2)_inf or (q; q^2)_inf.  A shared product is
+    kept under (order, coefficient, power, step).
     """
     if step < 1:
         raise ValueError("step must be positive")
@@ -69,12 +100,8 @@ def pochhammer_infinite(base: QMonomial, order: int, step: int = 1) -> QSeries:
             "infinite product with a scalar base has no formal power-series limit"
         )
     c = rational(base.coef)
-    out = QSeries.one(order)
-    p = base.power
-    while p <= order:
-        out = out * _one_minus(c, p, order)
-        p += step
-    return out
+    factors = (_one_minus(c, p, order) for p in range(base.power, order + 1, step))
+    return _shared((order, c, base.power, step), reduce, mul, factors, QSeries.one(order))
 
 
 def limit_pochhammer_scaled(coef, k: int, order: int) -> QSeries:
@@ -189,8 +216,16 @@ def hyper_sum(order: int, ratio: Callable[[int], tuple]) -> QSeries:
     multiply-adds and a denominator factor O(order).  The sum stops at the
     first term that truncates to zero (a zero scalar gives one), since every
     later term is a multiple of it; a step with power > order is such a
-    term, and is not built.
+    term, and is not built.  A shared sum is kept under (order,
+    ``ratio.__code__``, ratio's closure values), so every builder shares.
     """
+    if _share is None:
+        return _sum(order, ratio)
+    cells = tuple(c.cell_contents for c in ratio.__closure__ or ())
+    return _shared((order, ratio.__code__, cells), _sum, order, ratio)
+
+
+def _sum(order: int, ratio: Callable[[int], tuple]) -> QSeries:
     term = total = QSeries.one(order)
     k = 1
     while True:

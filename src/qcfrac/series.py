@@ -10,11 +10,12 @@ ci = nums[i] / den.  The form is canonical: gcd(den, *nums) == 1, so the
 zero series has den == 1, and equal series have equal ``nums``, ``den`` and
 hash.  Every operation works on the ints and ends with one gcd pass; that
 includes ``truncate``, since dropping nonzero coefficients can enlarge the
-gcd.  Rationals (``fractions.Fraction``) appear only at the edges: the
-constructors convert them once, ``s[i]`` builds one, and ``coeffs`` builds
-the tuple on demand and caches it.  No other module touches the storage;
-every q-series sum in the package is built from the operations below (see
-``families.hyper_sum``).
+gcd.  Rationals (``fractions.Fraction``) appear only at the edges: a
+term list's coefficients are read once each as numerator and denominator
+and summed as ints (``_sparse``), the constructors convert once, ``s[i]``
+builds one, and ``coeffs`` builds the tuple on demand and caches it.  No
+other module touches the storage; every q-series sum in the package is
+built from the operations below (see ``families.hyper_sum``).
 
 Multiplication is a schoolbook product over the nonzero numerators of both
 operands, over the denominator A*B, so products against sparse factors like
@@ -43,7 +44,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import NonUnitSeries
-from .rationals import ONE, ZERO, format_rational, rational
+from .rationals import ONE, format_rational, rational
 
 
 @dataclass(frozen=True)
@@ -224,27 +225,25 @@ class QSeries:
         raises ValueError and the pole (1, 0) in ``dens`` ZeroDivisionError,
         both before any work.
         """
-        if min([power] + [p for poly in polys for _, p in poly] + [p for _, p in dens]) < 0:
+        if power < 0 or any(p < 0 for _, p in dens):
             raise ValueError("term ratio must not carry a negative power of q")
-        dens = [(_rat(c), p) for c, p in dens]
-        if any(p == 0 and c == 1 for c, p in dens):
-            raise ZeroDivisionError("denominator factor 1 - c vanishes at c = 1")
         n = self.order
+        polys = [_sparse(poly, n) for poly in polys]
+        if any(p == 0 and _rat(c) == 1 for c, p in dens):
+            raise ZeroDivisionError("denominator factor 1 - c vanishes at c = 1")
         if power > n:
             return QSeries.zero(n)
         f = _rat(scalar)
         y = [0] * power + [f.numerator * x for x in self.nums[: n + 1 - power]]
         den = self.den * f.denominator
-        for poly in polys:
-            steps, d = _sparse(poly, n)
+        for steps, d in polys:
             out = [0] * (n + 1)
             for p, w in steps:
-                for i in range(n + 1 - p):
-                    out[i + p] += w * y[i]
+                out[p:] = [o + w * x for o, x in zip(out[p:], y)]
             y = out
             den *= d
         for c, p in dens:
-            u, d = c.numerator, c.denominator
+            u, d = _rat(c).as_integer_ratio()
             if p == 0:
                 y = [d * x for x in y]
                 den *= d - u
@@ -365,16 +364,20 @@ def _sparse(terms: Sequence[tuple], order: int):
     """(steps, den) for the sum of (coef, power) pairs truncated to the order.
 
     ``steps`` lists ``(power, w)`` with coefficient w/den, one per power
-    (repeated powers are summed, zero sums dropped).
+    (repeated powers are summed as ints over den, the lcm of the kept terms'
+    denominators, and zero sums dropped); no Fraction arithmetic is done.
     """
-    acc = {}
+    kept = []
     for coef, power in terms:
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
         if power <= order:
-            acc[power] = acc.get(power, ZERO) + _rat(coef)
-    den = lcm(*(c.denominator for c in acc.values()))
-    return [(p, c.numerator * (den // c.denominator)) for p, c in acc.items() if c], den
+            kept.append((power, *_rat(coef).as_integer_ratio()))
+    den = lcm(*(d for _, _, d in kept))
+    acc = {}
+    for power, u, d in kept:
+        acc[power] = acc.get(power, 0) + u * (den // d)
+    return [(p, w) for p, w in acc.items() if w], den
 
 
 def geometric_inverse(coef, power: int, order: int) -> QSeries:

@@ -254,6 +254,63 @@ def test_recurrence_reads_its_fraction(monkeypatch, rec_id, source, end):
     assert report.reason.startswith(f"three-term relation at shift {s} ")
 
 
+@pytest.mark.parametrize("end", ["lo", "hi"])
+@pytest.mark.parametrize("part", [3, 4], ids=["c1", "c2"])
+def test_rec_gg2_checks_its_coefficients(monkeypatch, part, end):
+    """REC_GG2 writes c1 and c2 out by hand; doubling either one at a shift
+    must make the recurrence fail at exactly that shift."""
+    entry = catalog.lookup("REC_GG2")
+    s = dict(zip(("lo", "hi"), entry.shifts))[end]
+
+    def rec(p, shift, order):
+        out = list(entry.recurrence(p, shift, order))
+        if shift == s:
+            out[part] = out[part].scale(2)
+        return tuple(out)
+
+    monkeypatch.setitem(catalog._REGISTRY, entry.id, replace(entry, recurrence=rec))
+    report = catalog.verify(entry.id, first_valid_point(entry))
+    assert report.status == "fail"
+    assert report.reason.startswith(f"three-term relation at shift {s} ")
+
+
+#: Every entry with series pairs, with the power k of the c*q^k its negative
+#: control adds; k sweeps 0..20, the whole order of the run below.
+PAIR_CONTROLS = [(entry.id, (5 * i + 2) % 21) for i, entry in
+                 enumerate(e for e in catalog.register_all() if e.pairs is not None)]
+
+
+@pytest.fixture(scope="module")
+def clean_catalog_run():
+    reports, _ = catalog.verify_all(seed=0, points=1, order=20)
+    return [catalog._report_to_dict(r) for r in reports]
+
+
+@pytest.mark.parametrize("entry_id,k", PAIR_CONTROLS)
+def test_pair_check_rejects_an_added_monomial(monkeypatch, clean_catalog_run, entry_id, k):
+    """One side of the entry's last pair gets q^k/3 added.  In a full run,
+    which shares its sums across every check, that entry fails at q^k and
+    every other report stays as in the clean run."""
+    entry = catalog.lookup(entry_id)
+    side = 1 + k % 2  # lhs for even k, rhs for odd
+
+    def pairs(p, order):
+        out = [list(pair) for pair in entry.pairs(p, order)]
+        out[-1][side] = out[-1][side] + QSeries.monomial(rational(1, 3), k, order)
+        return [tuple(pair) for pair in out]
+
+    monkeypatch.setitem(catalog._REGISTRY, entry_id, replace(entry, pairs=pairs))
+    reports, _ = catalog.verify_all(seed=0, points=1, order=20)
+    got = [catalog._report_to_dict(r) for r in reports]
+    assert [d for d in got if d["id"] != entry_id] == [
+        d for d in clean_catalog_run if d["id"] != entry_id]
+    checked = [d for d in got if d["id"] == entry_id and d["status"] != "skipped"]
+    assert len(checked) == 1
+    assert checked[0]["status"] == "fail"
+    assert checked[0]["first_mismatch_power"] == k
+    assert checked[0]["reason"].endswith(f": sides differ at q^{k}")
+
+
 def test_check_reduction_substitution_must_match():
     assert catalog.check_reduction("RR_SPECIAL", "RR_CF", {"a": "1"})
     with pytest.raises(ValueError):

@@ -251,14 +251,16 @@ def _benchmark_workloads():
 
 
 def test_benchmark_commands_reproduce_golden_digests(capsys):
-    """The catalog passes and contact tables of seeds 0-9 and the seed-0 Euler
-    expansions match their recorded outputs."""
+    """Every recorded benchmark command of seeds 0-9 (catalog passes, contact
+    tables and Euler expansions) matches its recorded output."""
     workloads = _benchmark_workloads()
     golden = workloads.load_golden()
     commands = [command for seed in range(10)
-                for command in workloads.catalog_commands(seed) + workloads.contact_commands(seed)]
-    commands += workloads.expand_commands(0)
-    assert len(commands) == 430
+                for command in (workloads.catalog_commands(seed)
+                                + workloads.contact_commands(seed)
+                                + workloads.expand_commands(seed))]
+    assert len(commands) == 700
+    assert len(golden) == 700
     assert all(command.key in golden for command in commands)
     problems = []
     for command in commands:

@@ -1,12 +1,17 @@
 """Basic hypergeometric building blocks: Pochhammer products and the sum
 families behind the continued-fraction identities."""
 
+import hashlib
+import json
+from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qcfrac import catalog
+from qcfrac import catalog, families
+from qcfrac.cli import main
 from qcfrac.errors import FormallyDivergentProduct, PoleAtParameter, UnsupportedShift
 from qcfrac.families import (
     DEFAULT_POINT,
@@ -28,6 +33,7 @@ from qcfrac.families import (
     pochhammer_infinite,
     rr_sum,
     sample_params,
+    shared_sums,
 )
 from qcfrac.rationals import rational
 from qcfrac.series import QMonomial, QSeries
@@ -380,3 +386,107 @@ def test_sample_params_seeds_vary(seed):
     pts = sample_params(seed, 4)
     assert len(pts) == 4
     assert len({(str(p.a), str(p.b), str(p.lam)) for p in pts}) >= 2
+
+
+# ---------------------------------------------------------------------------
+# The share of built sums
+
+
+SHARE_POINT = sample_params(0, 1)[0]
+
+
+def test_shared_build_is_the_same_object():
+    a, b, lam = SHARE_POINT.a, SHARE_POINT.b, SHARE_POINT.lam
+    with shared_sums():
+        assert rr_sum(a, 1, 20) is rr_sum(a, 1, 20)
+        # the same lambda in two builders: g_sum passes through to g1_sum
+        assert g_sum(b, lam, 2, 20) is g1_sum(b, 1, lam, 2, 20)
+        assert (pochhammer_infinite(QMonomial(a, 1), 20, step=2)
+                is pochhammer_infinite(QMonomial(a, 1), 20, step=2))
+
+
+def test_share_keeps_builds_apart_by_order_shift_and_point():
+    a, other = SHARE_POINT.a, SHARE_POINT.a + 1
+    with shared_sums():
+        kept = rr_sum(a, 1, 20)
+        for build in (rr_sum(a, 1, 21), rr_sum(a, 2, 20), rr_sum(other, 1, 20)):
+            assert build is not kept and build != kept
+        assert build_family(Family.G, 1, SHARE_POINT, 20) != build_family(
+            Family.G, 2, SHARE_POINT, 20)
+        poch = pochhammer_infinite(QMonomial(a, 1), 20)
+        for build in (pochhammer_infinite(QMonomial(a, 1), 21),
+                      pochhammer_infinite(QMonomial(a, 2), 20),
+                      pochhammer_infinite(QMonomial(a, 1), 20, step=2),
+                      pochhammer_infinite(QMonomial(other, 1), 20)):
+            assert build is not poch and build != poch
+    # each build equals the same build made with no share open
+    assert kept == rr_sum(a, 1, 20) and poch == pochhammer_infinite(QMonomial(a, 1), 20)
+
+
+def test_nothing_is_kept_outside_a_share():
+    a = SHARE_POINT.a
+    assert families._share is None
+    assert rr_sum(a, 1, 20) is not rr_sum(a, 1, 20)
+    assert pochhammer_infinite(QMonomial(a, 1), 20) is not pochhammer_infinite(
+        QMonomial(a, 1), 20)
+    with shared_sums():
+        rr_sum(a, 1, 20)
+    assert families._share is None
+    assert rr_sum(a, 1, 20) is not rr_sum(a, 1, 20)
+
+
+def test_nested_share_joins_the_open_one():
+    a = SHARE_POINT.a
+    with shared_sums():
+        kept = rr_sum(a, 0, 20)
+        with shared_sums():
+            assert rr_sum(a, 0, 20) is kept
+        # run_entry opens a share of its own when none is open, and joins this one
+        catalog.run_entry(catalog.lookup("REC_RR"), points=1, order=20)
+        assert rr_sum(a, 0, 20) is kept
+        assert rr_sum(a, 2, 20) is rr_sum(a, 2, 20)
+
+
+def test_unhashable_closure_value_raises_inside_a_share():
+    cell = [1]
+
+    def ratio(k):
+        return (cell[0], 1, [], [])
+
+    assert hyper_sum(3, ratio) == QSeries(3, [1, 1, 1, 1])
+    with shared_sums():
+        with pytest.raises(TypeError):
+            hyper_sum(3, ratio)
+
+
+def test_run_entry_and_verify_all_open_a_share_and_close_it_when_an_entry_raises(monkeypatch):
+    entry = catalog.lookup("EISENSTEIN")
+    shared = []
+
+    def pairs(p, order):
+        shared.append(eisenstein_sum(p.a, 0, order) is eisenstein_sum(p.a, 0, order))
+        raise RuntimeError("broken pair recipe")
+
+    broken = replace(entry, pairs=pairs)
+    monkeypatch.setitem(catalog._REGISTRY, entry.id, broken)
+    with pytest.raises(RuntimeError):
+        catalog.run_entry(broken, points=1, order=20)
+    assert families._share is None
+    with pytest.raises(RuntimeError):
+        catalog.verify_all(seed=0, points=1, order=20)
+    assert families._share is None
+    assert shared == [True, True]
+    assert eisenstein_sum(SHARE_POINT.a, 0, 20) is not eisenstein_sum(SHARE_POINT.a, 0, 20)
+
+
+def test_catalog_runs_at_two_orders_in_one_process_match_their_golden_outputs(capsys):
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    digests = json.loads((golden / "digests.json").read_text(encoding="utf-8"))
+    argv = ["verify", "all", "--order", "20", "--points", "1", "--seed", "0", "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[" ".join(argv)]
+    argv = ["verify", "all", "--order", "40", "--points", "3", "--seed", "0", "--format", "json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (golden / "verify_all_o40_p3_s0.json").read_text(
+        encoding="utf-8")

@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qcfrac.errors import NonUnitSeries
 from qcfrac.rationals import rational
-from qcfrac.series import QMonomial, QSeries, geometric_inverse
+from qcfrac.series import QMonomial, QSeries, _sparse, geometric_inverse
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -258,3 +258,37 @@ def test_times_ratio_matches_fraction_reference(ca, scalar, power, polys, dens):
     for c, p in dens:
         if p >= 1:
             assert geometric_inverse(c, p, n) == QSeries(n, ref_geometric(c, p, n))
+
+
+#: Coefficients of a term list: small ints, and Fractions with denominators
+#: up to 10^6.
+term_coeffs = st.one_of(st.integers(min_value=-50, max_value=50),
+                        st.fractions(min_value=-50, max_value=50, max_denominator=10**6))
+
+
+@st.composite
+def term_lists(draw):
+    """(order, terms): powers crowd low and run past the order, and some
+    terms come back negated, so repeated powers both sum and cancel."""
+    order = draw(st.integers(min_value=0, max_value=12))
+    terms = draw(st.lists(st.tuples(term_coeffs, st.integers(min_value=0, max_value=order + 4)),
+                          max_size=8))
+    cancel = draw(st.lists(st.sampled_from(terms), max_size=len(terms))) if terms else []
+    return order, draw(st.permutations(terms + [(-c, p) for c, p in cancel]))
+
+
+@given(term_lists())
+@example((4, [(Fraction(1, 999983), 2), (3, 2), (-3, 2), (-Fraction(1, 999983), 2),
+              (Fraction(7, 10**6), 1), (2, 1), (5, 7), (Fraction(1, 3), 5)]))
+def test_term_lists_sum_as_fractions_do(case):
+    order, terms = case
+    want = [Fraction(0)] * (order + 1)
+    for c, p in terms:
+        if p <= order:
+            want[p] += Fraction(c)
+    got = QSeries.from_monomials(terms, order)
+    assert got == QSeries(order, want)
+    assert hash(got) == hash(QSeries(order, want))
+    steps, den = _sparse(terms, order)
+    assert sorted(p for p, _ in steps) == [p for p, c in enumerate(want) if c]
+    assert all(Fraction(w, den) == want[p] for p, w in steps)
