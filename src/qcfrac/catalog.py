@@ -45,6 +45,8 @@ from .euler import verify_three_term
 from .families import (
     DEFAULT_POINT,
     ParamPoint,
+    TermRatio,
+    _poch,
     big_g_sum,
     c_sum,
     eisenstein_sum,
@@ -63,7 +65,7 @@ from .families import (
     sample_params,
     shared_sums,
 )
-from .rationals import ONE, ZERO, format_rational, parse_rational, rational
+from .rationals import ONE, format_rational, parse_rational, rational
 from .series import QMonomial, QSeries, geometric_inverse
 
 CF_SERIES = "cf_equals_series_ratio"
@@ -148,10 +150,10 @@ def _cmp(lhs: QSeries, rhs: QSeries) -> Tuple[Optional[int], tuple]:
 # ---------------------------------------------------------------------------
 # Series builders shared by several entries
 #
-# Each sum below is a term-ratio specification for families.hyper_sum:
-# ratio(k) = (scalar, power of q, polynomial factors, (c, p) factors that
-# stand for 1/(1 - c q^p)), which carries term k-1 to term k.  A Pochhammer
-# (x; q)_k contributes the factor 1 - x q^(k-1) at step k.
+# Each sum below is a families.TermRatio for families.hyper_sum: the ratio of
+# term k to term k-1, each power of q written (alpha, beta) for alpha*k + beta.
+# A Pochhammer (x; q)_k gives the factor 1 - x q^(k-1) at step k, that is
+# _poch(x, (1, -1)); (q; q)_k in a denominator gives (ONE, (1, 0)).
 
 
 def _one_plus(coef, power: int, order: int) -> QSeries:
@@ -165,22 +167,23 @@ def _qbin_term(a, b, k: int, order: int) -> QSeries:
 
 
 def _qbin_partial(a, b, upto: int, order: int) -> QSeries:
-    """u_0 + ... + u_upto.  The terms carry no power of q, so the ratio's
-    scalar is 0 past upto, which ends the sum."""
-    return hyper_sum(order, lambda k: (ONE if k <= upto else ZERO, 0,
-                                       [[(a, 0), (b, k - 1)]], [(ONE, k)]))
+    """u_0 + ... + u_upto.  The terms carry no power of q, so the spec's
+    last index ends the sum."""
+    return hyper_sum(order, TermRatio(ONE, (0, 0), (((a, (0, 0)), (b, (1, -1))),), ((ONE, (1, 0)),),
+                                      last=upto))
 
 
 def _qbin_shifted_sum(a, b, order: int) -> QSeries:
     """sum_k prod_{i<k}(a + b q^i) q^k / (q;q)_k -- the (a,b) -> (aq,bq) slice."""
-    return hyper_sum(order, lambda k: (ONE, 1, [[(a, 0), (b, k - 1)]], [(ONE, k)]))
+    return hyper_sum(order, TermRatio(ONE, (0, 1), (((a, (0, 0)), (b, (1, -1))),),
+                                      ((ONE, (1, 0)),)))
 
 
 def _entry8_lhs_sum(a, b, c, d, order: int) -> QSeries:
     """sum_k (b/a;q)_k (cq;q)_k / ((dq;q)_k (q;q)_k) * (aq)^k."""
     r = b / a
-    return hyper_sum(order, lambda k: (a, 1, [[(ONE, 0), (-r, k - 1)], [(ONE, 0), (-c, k)]],
-                                       [(d, k), (ONE, k)]))
+    return hyper_sum(order, TermRatio(a, (0, 1), (_poch(r, (1, -1)), _poch(c, (1, 0))),
+                                      ((d, (1, 0)), (ONE, (1, 0)))))
 
 
 def _entry8_rhs_sum(a, b, c, d, order: int) -> QSeries:
@@ -188,32 +191,31 @@ def _entry8_rhs_sum(a, b, c, d, order: int) -> QSeries:
     * (ac)^k q^(2k) (-1)^k q^(k(k-1)/2)."""
     r = b / a
     s = d / c
-    return hyper_sum(order, lambda k: (
-        -a * c, k + 1, [[(ONE, 0), (-r, k - 1)], [(ONE, 0), (-s, k - 1)]],
-        [(b, k), (d, k), (ONE, k)]))
+    return hyper_sum(order, TermRatio(-a * c, (1, 1), (_poch(r, (1, -1)), _poch(s, (1, -1))),
+                                      ((b, (1, 0)), (d, (1, 0)), (ONE, (1, 0)))))
 
 
 def _entry6_rhs_sum(a, b, c, d, order: int) -> QSeries:
     """sum_k (aq;q)_k (d/c;q)_k / ((bq;q)_k (q;q)_k) * (cq)^k."""
     s = d / c
-    return hyper_sum(order, lambda k: (c, 1, [[(ONE, 0), (-a, k)], [(ONE, 0), (-s, k - 1)]],
-                                       [(b, k), (ONE, k)]))
+    return hyper_sum(order, TermRatio(c, (0, 1), (_poch(a, (1, 0)), _poch(s, (1, -1))),
+                                      ((b, (1, 0)), (ONE, (1, 0)))))
 
 
 def _d0_lhs_sum(a, b, lam, c_coef, c_power: int, order: int) -> QSeries:
     """sum_k prod_{j<k}(a + lam q^j) (b C / lam)^k q^(k(k+1)/2)
     / ((-bq;q)_k (q;q)_k), with C = c_coef * q^c_power."""
     x = b * c_coef / lam
-    return hyper_sum(order, lambda k: (x, c_power + k, [[(a, 0), (lam, k - 1)]],
-                                       [(-b, k), (ONE, k)]))
+    return hyper_sum(order, TermRatio(x, (1, c_power), (((a, (0, 0)), (lam, (1, -1))),),
+                                      ((-b, (1, 0)), (ONE, (1, 0)))))
 
 
 def _d0_rhs_sum(a, b, lam, c_coef, c_power: int, order: int) -> QSeries:
     """sum_k (-lam/a;q)_k (-C;q)_k (ab/lam)^k q^k / (q;q)_k."""
     r = lam / a
     x = a * b / lam
-    return hyper_sum(order, lambda k: (
-        x, 1, [[(ONE, 0), (r, k - 1)], [(ONE, 0), (c_coef, c_power + k - 1)]], [(ONE, k)]))
+    return hyper_sum(order, TermRatio(
+        x, (0, 1), (_poch(-r, (1, -1)), _poch(-c_coef, (1, c_power - 1))), ((ONE, (1, 0)),)))
 
 
 def _parity_sums(a, b, order: int) -> Tuple[QSeries, QSeries]:
@@ -221,10 +223,9 @@ def _parity_sums(a, b, order: int) -> Tuple[QSeries, QSeries]:
     (the (a, b) -> (aq, bq) slice of the Entry 11 split).  The even part
     steps two indices at a time; the odd part is the rest of the full sum."""
     r = b / a
-    full = hyper_sum(order, lambda m: (a, 1, [[(ONE, 0), (-r, m - 1)]], [(ONE, m)]))
-    even = hyper_sum(order, lambda k: (
-        a * a, 2, [[(ONE, 0), (-r, 2 * k - 2)], [(ONE, 0), (-r, 2 * k - 1)]],
-        [(ONE, 2 * k - 1), (ONE, 2 * k)]))
+    full = hyper_sum(order, TermRatio(a, (0, 1), (_poch(r, (1, -1)),), ((ONE, (1, 0)),)))
+    even = hyper_sum(order, TermRatio(a * a, (0, 2), (_poch(r, (2, -2)), _poch(r, (2, -1))),
+                                      ((ONE, (2, -1)), (ONE, (2, 0)))))
     return full - even, even
 
 

@@ -376,7 +376,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (ValueError, QcfracError) as exc:
+    except (ValueError, OverflowError, QcfracError) as exc:  # overflow: a float of huge --at-q
         print(exc, file=sys.stderr)
         return 2
 

@@ -3,12 +3,11 @@
 Every sum here is a basic hypergeometric series: each term is the previous
 one times a rational function of q, namely a scalar, a power of q, a few
 sparse polynomial factors, and a few factors 1/(1 - c*q^p).  :func:`hyper_sum`
-is the one builder; each family is a short specification of its term ratio.
-The builder keeps a running term and total as :class:`QSeries` values and
-advances the term by one :meth:`QSeries.times_ratio` step per index: an
-integer pass per factor, O(order) for each denominator factor, so no series
-is ever inverted or built as a factor while a sum is built, and
-coefficients stay inside the series kernel.
+is the one builder; each family gives its term ratio as a :class:`TermRatio`,
+data whose powers of q are affine in the index.  The builder reads its
+coefficients as ints once, steps an int term by the integer body of
+:meth:`QSeries.times_ratio` (no series is inverted or built as a factor) and
+keeps an int total: one :class:`QSeries` is built per sum.
 
 Checks at neighbouring shifts need the same sums, so inside a
 :func:`shared_sums` block (one ``catalog.verify_all`` or ``run_entry`` call)
@@ -26,13 +25,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import islice
+from itertools import count, islice
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, List, Optional
 
 from .errors import FormallyDivergentProduct, PoleAtParameter, UnsupportedShift
 from .rationals import ONE, format_rational, rational
-from .series import QMonomial, QSeries
+from .series import QMonomial, QSeries, _ratio_step, _reduced
 
 
 #: Sums kept while a :func:`shared_sums` block is open; None outside one.
@@ -204,37 +204,62 @@ class Family(Enum):
             raise ValueError(f"unknown family {name!r} (expected one of: {valid})") from None
 
 
-def hyper_sum(order: int, ratio: Callable[[int], tuple]) -> QSeries:
+@dataclass(frozen=True)
+class TermRatio:
+    """t_k / t_(k-1) = scalar q^power prod(polys) / prod(1 - c q^p for (c, p) in dens).
+
+    Each power is (alpha, beta) for alpha*k + beta, a poly is a tuple of (c,
+    power) monomials, p = 0 in ``dens`` is 1/(1 - c), and ``last`` ends the sum.
+    """
+
+    scalar: object
+    power: tuple
+    polys: tuple = ()
+    dens: tuple = ()
+    last: Optional[int] = None
+
+
+def _poch(x, power: tuple) -> tuple:
+    """The poly 1 - x*q^power, a numerator Pochhammer's factor at step k."""
+    return (ONE, (0, 0)), (-x, power)
+
+
+def hyper_sum(order: int, spec: TermRatio) -> QSeries:
     """sum_{k>=0} t_k with t_0 = 1 and t_k = t_{k-1} * ratio(k), truncated at order.
 
-    ``ratio(k)`` returns ``(scalar, power, polys, dens)``: the step multiplies
-    by scalar * q^power, by every sparse polynomial in ``polys`` (each a list
-    of ``(c, p)`` monomials), and by 1/(1 - c*q^p) for every ``(c, p)`` in
-    ``dens``; p = 0 there is the scalar 1/(1 - c).  Each step is one
-    :meth:`QSeries.times_ratio`, so no series is inverted and no factor is
-    built as a series: a polynomial factor costs order * (its terms) integer
-    multiply-adds and a denominator factor O(order).  The sum stops at the
-    first term that truncates to zero (a zero scalar gives one), since every
-    later term is a multiple of it; a step with power > order is such a
-    term, and is not built.  A shared sum is kept under (order,
-    ``ratio.__code__``, ratio's closure values), so every builder shares.
+    The ratio is ``spec``, its coefficients read as ints once per sum.  Each
+    step is the integer body of :meth:`QSeries.times_ratio` and a gcd pass on
+    the term, which joins a total of ints over the lcm of the denominators so
+    far; one :class:`QSeries` is built at the end.  The sum stops after
+    ``spec.last``, or at the first term that truncates to zero, since every
+    later term is a multiple of it; a step with power > order is such a term,
+    and is not built.  A shared sum is kept under (order, spec).
     """
-    if _share is None:
-        return _sum(order, ratio)
-    cells = tuple(c.cell_contents for c in ratio.__closure__ or ())
-    return _shared((order, ratio.__code__, cells), _sum, order, ratio)
+    return _shared((order, spec), _sum, order, spec)
 
 
-def _sum(order: int, ratio: Callable[[int], tuple]) -> QSeries:
-    term = total = QSeries.one(order)
-    k = 1
-    while True:
-        term = term.times_ratio(*ratio(k))
-        if term.is_zero():
+def _sum(n: int, spec: TermRatio) -> QSeries:
+    scalar = rational(spec.scalar).as_integer_ratio()
+    polys = []
+    for poly in spec.polys:  # each over one denominator d, as (alpha, beta, c*d)
+        d = lcm(*(rational(c).denominator for c, _ in poly))
+        polys.append(([(a, b, int(rational(c) * d)) for c, (a, b) in poly], d))
+    dens = [(*rational(c).as_integer_ratio(), a, b) for c, (a, b) in spec.dens]
+    term, den = [1] + [0] * n, 1
+    total, total_den = term, den
+    for k in count(1) if spec.last is None else range(1, spec.last + 1):
+        term, den = _ratio_step(
+            term, den, n, scalar, spec.power[0] * k + spec.power[1],
+            [([(a * k + b, w) for a, b, w in poly], d) for poly, d in polys],
+            [(u, d, a * k + b) for u, d, a, b in dens])
+        if not any(term):
             break
-        total = total + term
-        k += 1
-    return total
+        term, den = _reduced(term, den)
+        g = gcd(total_den, den)
+        up, add = den // g, total_den // g
+        total = [up * x + add * y for x, y in zip(total, term)]
+        total_den *= up
+    return QSeries._of(n, total, total_den)
 
 
 def rr_sum(a, s: int, order: int) -> QSeries:
@@ -245,7 +270,7 @@ def rr_sum(a, s: int, order: int) -> QSeries:
     satisfy a three-term recurrence.
     """
     a = rational(a)
-    return hyper_sum(order, lambda k: (a, 2 * k - 1 + s, [], [(ONE, k)]))
+    return hyper_sum(order, TermRatio(a, (2, s - 1), dens=((ONE, (1, 0)),)))
 
 
 def g_sum(b, lam, lam_power: int, order: int, b_power: int = 1) -> QSeries:
@@ -269,8 +294,8 @@ def g1_sum(b, b_power: int, lam, lam_power: int, order: int) -> QSeries:
     lam = rational(lam)
     if b_power == 0 and b == -1:
         raise PoleAtParameter("1 + b vanishes at b = -1")
-    return hyper_sum(order, lambda k: (lam, 2 * k - 1 + lam_power, [],
-                                       [(ONE, k), (-b, b_power + k - 1)]))
+    return hyper_sum(order, TermRatio(lam, (2, lam_power - 1),
+                                      dens=((ONE, (1, 0)), (-b, (1, b_power - 1)))))
 
 
 def g2_sum(b, lam, lam_power: int, order: int) -> QSeries:
@@ -281,8 +306,8 @@ def g2_sum(b, lam, lam_power: int, order: int) -> QSeries:
     """
     b = rational(b)
     lam = rational(lam)
-    return hyper_sum(order, lambda k: (ONE, k, [[(b, 0), (lam, lam_power + k - 1)]],
-                                       [(ONE, k)]))
+    return hyper_sum(order, TermRatio(ONE, (1, 0), (((b, (0, 0)), (lam, (1, lam_power - 1))),),
+                                      ((ONE, (1, 0)),)))
 
 
 def big_g_sum(a, a_power: int, b, lam, lam_power: int, s: int, order: int) -> QSeries:
@@ -303,9 +328,9 @@ def big_g_sum(a, a_power: int, b, lam, lam_power: int, s: int, order: int) -> QS
     b = rational(b)
     lam = rational(lam)
     fold = min(a_power, 0)
-    return hyper_sum(order, lambda k: (
-        ONE, k + s + fold, [[(a, a_power - fold), (lam, lam_power - fold + k - 1)]],
-        [(ONE, k), (-b, k)]))
+    return hyper_sum(order, TermRatio(
+        ONE, (1, s + fold), (((a, (0, a_power - fold)), (lam, (1, lam_power - fold - 1))),),
+        ((ONE, (1, 0)), (-b, (1, 0)))))
 
 
 def g1ab_sum(a, b, lam, s: int, order: int, stagger: bool = False) -> QSeries:
@@ -323,9 +348,9 @@ def g1ab_sum(a, b, lam, s: int, order: int, stagger: bool = False) -> QSeries:
     if lam == 0:
         raise PoleAtParameter("terms divide by lam^k")
     t = 1 if stagger else 0
-    return hyper_sum(order, lambda k: (
-        ONE / lam, 1, [[(a, 0), (lam, s + k - 1)], [(b, 0), (lam, s + t + k - 1)]],
-        [(ONE, k)]))
+    return hyper_sum(order, TermRatio(
+        ONE / lam, (0, 1), (((a, (0, 0)), (lam, (1, s - 1))), ((b, (0, 0)), (lam, (1, s + t - 1)))),
+        ((ONE, (1, 0)),)))
 
 
 def g2_big_sum(a, b, lam, s: int, order: int) -> QSeries:
@@ -348,8 +373,8 @@ def g2_big_sum(a, b, lam, s: int, order: int) -> QSeries:
         raise PoleAtParameter("terms divide by powers of a and lam")
     c = a * b / lam
     # each step's q from (-L/a) times (1 - c q^(s+k-2)) is q - c q^(s+k-1)
-    return hyper_sum(order, lambda k: (-lam / a, 0, [[(ONE, 1), (-c, s + k - 1)]],
-                                       [(ONE, k), (-a, s + k)]))
+    return hyper_sum(order, TermRatio(-lam / a, (0, 0), (((ONE, (0, 1)), (-c, (1, s - 1))),),
+                                      ((ONE, (1, 0)), (-a, (1, s)))))
 
 
 def gfrac5_den_sum(a, b, lam, order: int) -> QSeries:
@@ -368,8 +393,8 @@ def gfrac5_den_sum(a, b, lam, order: int) -> QSeries:
     if a == 0 or lam == 0:
         raise PoleAtParameter("terms divide by powers of a and lam")
     c = a * b / lam
-    return hyper_sum(order, lambda k: (-lam / a, 1, [[(ONE, 0), (-c, k - 1)]],
-                                       [(ONE, k), (-a, k)]))
+    return hyper_sum(order, TermRatio(-lam / a, (0, 1), (_poch(c, (1, -1)),),
+                                      ((ONE, (1, 0)), (-a, (1, 0)))))
 
 
 def c_sum(a, b, s: int, order: int) -> QSeries:
@@ -391,15 +416,14 @@ def c_sum(a, b, s: int, order: int) -> QSeries:
     if a == 0:
         raise PoleAtParameter("the Pochhammer base divides by a")
     c = b / a
-    return hyper_sum(order, lambda k: (
-        a * a, 2, [[(ONE, 0), (-c, s + 2 * k - 2)], [(ONE, 0), (-c, s + 2 * k - 1)]],
-        [(ONE, 2 * k), (ONE, 2 * k + 2 * s - 1)]))
+    return hyper_sum(order, TermRatio(a * a, (0, 2), (_poch(c, (2, s - 2)), _poch(c, (2, s - 1))),
+                                      ((ONE, (2, 0)), (ONE, (2, 2 * s - 1)))))
 
 
 def eisenstein_sum(a, s: int, order: int) -> QSeries:
     """Partial-theta sum: sum_k (-a)^k q^(k(k+1)/2 + s*k)."""
     a = rational(a)
-    return hyper_sum(order, lambda k: (-a, k + s, [], []))
+    return hyper_sum(order, TermRatio(-a, (1, s)))
 
 
 def build_family(family: Family, s: int, point: ParamPoint, order: int) -> QSeries:

@@ -31,15 +31,15 @@ def rational(num: RationalLike = 0, den: int | None = None) -> Fraction:
     return Fraction(num)
 
 
-#: Additive and multiplicative identities, shared to avoid re-allocation.
-ZERO = rational(0)
+#: The multiplicative identity, shared to avoid re-allocation.
 ONE = rational(1)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` with optional sign.  Rejects floats and empty input.
 
-    Raises ValueError for anything that is not an exact integer ratio.
+    Raises ValueError for anything that is not an exact integer ratio; its
+    message echoes at most the first 40 characters of the text.
     """
     s = text.strip()
     num, sep, den = s.partition("/")
@@ -49,7 +49,8 @@ def parse_rational(text: str) -> Fraction:
         else:
             value = Fraction(int(num))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact rational: {text!r}") from exc
+        shown = text if len(text) <= 40 else text[:37] + "..."
+        raise ValueError(f"not an exact rational: {shown!r}") from exc
     return value
 
 

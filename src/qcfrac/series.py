@@ -13,9 +13,9 @@ includes ``truncate``, since dropping nonzero coefficients can enlarge the
 gcd.  Rationals (``fractions.Fraction``) appear only at the edges: a
 term list's coefficients are read once each as numerator and denominator
 and summed as ints (``_sparse``), the constructors convert once, ``s[i]``
-builds one, and ``coeffs`` builds the tuple on demand and caches it.  No
-other module touches the storage; every q-series sum in the package is
-built from the operations below (see ``families.hyper_sum``).
+builds one, and ``coeffs`` builds the tuple on demand and caches it.  Only
+``families.hyper_sum`` builds from ints outside this module, through the
+shared step below and ``QSeries._of``.
 
 Multiplication is a schoolbook product over the nonzero numerators of both
 operands, over the denominator A*B, so products against sparse factors like
@@ -26,9 +26,10 @@ sum_m D * v_m * p0^(N-m) q^m over p0^(N+1).
 
 ``times_ratio`` is one step of a basic hypergeometric sum: it multiplies by
 a scalar, a power of q, sparse polynomials and factors 1/(1 - c*q^p) without
-building any factor as a series.  The monomial shifts and scales the
-numerators, each polynomial is one pass per nonzero term over the lcm of
-its denominators, and p = 0 multiplies the numerators by d and the
+building any factor as a series; its integer body ``_ratio_step`` on (nums,
+den) is also each step of ``families.hyper_sum``.  The monomial shifts and
+scales the numerators, each polynomial is one pass per nonzero term over the
+lcm of its denominators, and p = 0 multiplies the numerators by d and the
 denominator by d - u, for c = u/d.  For p >= 1 the division is the
 fraction-free recurrence: scale the numerators by d^J, J = N//p, then
 y_i += u * (y_(i-p) // d) for i >= p, from the bottom up.  The entry y_i
@@ -85,12 +86,7 @@ class QSeries:
 
     def _init(self, order: int, nums, den: int) -> None:
         """Store nums/den in canonical form (den > 0, gcd(den, *nums) == 1)."""
-        g = gcd(den, *nums)
-        if den < 0:
-            g = -g
-        if g != 1:
-            nums = [x // g for x in nums]
-            den //= g
+        nums, den = _reduced(nums, den)
         _set(self, "order", order)
         _set(self, "nums", tuple(nums))
         _set(self, "den", den)
@@ -218,43 +214,17 @@ class QSeries:
                     dens: Sequence = ()) -> "QSeries":
         """self * scalar * q^power * prod(polys) / prod(1 - c*q^p for (c, p) in dens).
 
-        One step of a basic hypergeometric sum (see ``families.hyper_sum``).
-        Each poly is a list of ``(coef, power)`` monomials; p = 0 in ``dens``
-        is the scalar 1/(1 - c).  Every factor is one pass over the
-        numerators and the result gets one gcd pass.  A negative power of q
-        raises ValueError and the pole (1, 0) in ``dens`` ZeroDivisionError,
-        both before any work.
+        One step of a basic hypergeometric sum: the arguments as ints through
+        :func:`_ratio_step`, which ``families.hyper_sum`` runs too, then one
+        gcd pass.  Each poly is a list of ``(coef, power)`` monomials; p = 0
+        in ``dens`` is the scalar 1/(1 - c).  A negative power of q raises
+        ValueError and the pole (1, 0) in ``dens`` ZeroDivisionError, both
+        before any work.
         """
-        if power < 0 or any(p < 0 for _, p in dens):
-            raise ValueError("term ratio must not carry a negative power of q")
         n = self.order
-        polys = [_sparse(poly, n) for poly in polys]
-        if any(p == 0 and _rat(c) == 1 for c, p in dens):
-            raise ZeroDivisionError("denominator factor 1 - c vanishes at c = 1")
-        if power > n:
-            return QSeries.zero(n)
-        f = _rat(scalar)
-        y = [0] * power + [f.numerator * x for x in self.nums[: n + 1 - power]]
-        den = self.den * f.denominator
-        for steps, d in polys:
-            out = [0] * (n + 1)
-            for p, w in steps:
-                out[p:] = [o + w * x for o, x in zip(out[p:], y)]
-            y = out
-            den *= d
-        for c, p in dens:
-            u, d = _rat(c).as_integer_ratio()
-            if p == 0:
-                y = [d * x for x in y]
-                den *= d - u
-                continue
-            # y_(i-p) is a multiple of d^(n//p - (i-p)//p), a positive power of d
-            if d != 1:
-                scale = d ** (n // p)
-                y = [scale * x for x in y]
-                den *= scale
-            for i in range(p, n + 1):
-                y[i] += u * (y[i - p] // d)
+        y, den = _ratio_step(self.nums, self.den, n, _rat(scalar).as_integer_ratio(), power,
+                             [_sparse(poly, n) for poly in polys],
+                             [(*_rat(c).as_integer_ratio(), p) for c, p in dens])
         return QSeries._of(n, y, den)
 
     def inverse(self) -> "QSeries":
@@ -378,6 +348,50 @@ def _sparse(terms: Sequence[tuple], order: int):
     for power, u, d in kept:
         acc[power] = acc.get(power, 0) + u * (den // d)
     return [(p, w) for p, w in acc.items() if w], den
+
+
+def _reduced(nums, den: int):
+    """nums/den in canonical form: den > 0 and gcd(den, *nums) == 1."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    return nums, den
+
+
+def _ratio_step(nums, den: int, n: int, scalar: tuple, power: int, polys, dens):
+    """:meth:`QSeries.times_ratio` on nums/den at order n, as (y, den) not reduced.
+
+    The scalar is (u, d); a poly is (steps, d) as from :func:`_sparse`, though a
+    power may repeat or pass n; a den is (u, d, p).  Power > n gives zeros.
+    """
+    if min((power, *(p for *_, p in dens), *(p for s, _ in polys for p, _ in s))) < 0:
+        raise ValueError("term ratio must not carry a negative power of q")
+    if any(p == 0 and u == d for u, d, p in dens):
+        raise ZeroDivisionError("denominator factor 1 - c vanishes at c = 1")
+    if power > n:
+        return [0] * (n + 1), 1
+    y = [0] * power + [scalar[0] * x for x in nums[: n + 1 - power]]
+    den *= scalar[1]
+    for steps, d in polys:
+        out = [0] * (n + 1)
+        for p, w in steps:
+            out[p:] = [o + w * x for o, x in zip(out[p:], y)]
+        y = out
+        den *= d
+    for u, d, p in dens:
+        if p == 0:
+            y = [d * x for x in y]
+            den *= d - u
+            continue
+        # y_(i-p) is a multiple of d^(n//p - (i-p)//p), a positive power of d
+        if d != 1:
+            scale = d ** (n // p)
+            y = [scale * x for x in y]
+            den *= scale
+        for i in range(p, n + 1):
+            y[i] += u * (y[i - p] // d)
+    return y, den
 
 
 def geometric_inverse(coef, power: int, order: int) -> QSeries:

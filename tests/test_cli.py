@@ -204,6 +204,24 @@ def test_approximants_numeric_columns(capsys):
     assert lines[2].split("\t")[3] == "-"
 
 
+def test_approximants_float_overflow_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "approximants", "RR_CF", "--at-q", "1000000000000000000000")
+    assert (code, out) == (2, "")
+    assert err == "integer division result too large for a float\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "RR_CF", "--params", "a=%s,b=1/2,l=1/3" % ("7" * 5000)),
+    ("approximants", "RR_CF", "--at-q", "7" * 5000),
+    ("approximants", "RR_CF", "--at-q", "1/" + "x" * 5000),
+])
+def test_rejected_long_input_is_echoed_short(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("not an exact rational: '") and err.endswith("...'\n")
+    assert len(err) <= 80 and err.count("\n") == 1
+
+
 def test_approximants_rejects_non_cf(capsys):
     code, _, err = run(capsys, "approximants", "POCH_IDS")
     assert code == 2

@@ -3,12 +3,14 @@ families behind the continued-fraction identities."""
 
 import hashlib
 import json
+import sys
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qcfrac import catalog, families
 from qcfrac.cli import main
@@ -17,6 +19,7 @@ from qcfrac.families import (
     DEFAULT_POINT,
     Family,
     ParamPoint,
+    TermRatio,
     big_g_sum,
     build_family,
     c_sum,
@@ -141,19 +144,129 @@ def test_c_sum_pole_at_zero():
 def test_hyper_sum_constant_pole_raises():
     # ratio (q, 1/(1 - 1)): the p = 0 denominator factor with c = 1 is a pole
     with pytest.raises(ZeroDivisionError):
-        hyper_sum(5, lambda k: (1, 1, [], [(1, 0)]))
+        hyper_sum(5, TermRatio(1, (0, 1), dens=((1, (0, 0)),)))
+
+
+@pytest.mark.parametrize("spec", [
+    TermRatio(1, (0, -1)),
+    TermRatio(1, (0, 1), polys=(((1, (0, 0)), (1, (1, -2))),)),
+    TermRatio(1, (0, 1), dens=((2, (1, -2)),)),
+])
+def test_hyper_sum_negative_power_raises(spec):
+    """A power of q that is negative at step 1, in the monomial, a poly or a den."""
+    with pytest.raises(ValueError, match="negative power of q"):
+        hyper_sum(5, spec)
+
+
+def test_hyper_sum_term_with_negative_denominator():
+    """1/(1 - 3) at step 1 leaves t_1 = -q/2 over a negative denominator; the
+    sum still comes out in canonical form."""
+    got = hyper_sum(3, TermRatio(1, (0, 1), dens=((3, (1, -1)),)))
+    assert got == QSeries(3, [1, Fraction(-1, 2), Fraction(-1, 2), -2])
 
 
 def test_hyper_sum_stops_at_zero_scalar():
-    """A zero scalar ends the sum there (QBIN's finite partial sum relies on it)."""
-    asked = []
+    """A zero scalar ends the sum there, and so does ``last`` (QBIN's finite
+    partial sum relies on it).  The factor 1/(1 - q^(j - k)) is the pole
+    1/(1 - 1) at step j, so neither sum builds a later term."""
+    def pole_at(j):
+        return ((1, (-1, j)),)
 
-    def ratio(k):
-        asked.append(k)
-        return (1 if k <= 2 else 0, 1, [], [])
+    assert hyper_sum(5, TermRatio(0, (0, 1), dens=pole_at(2))) == QSeries.one(5)
+    with pytest.raises(ZeroDivisionError):
+        hyper_sum(5, TermRatio(1, (0, 1), dens=pole_at(3)))
+    t1 = QSeries.one(5).times_ratio(1, 1, [], [(1, 2)])
+    t2 = t1.times_ratio(1, 1, [], [(1, 1)])
+    got = hyper_sum(5, TermRatio(1, (0, 1), dens=pole_at(3), last=2))
+    assert got == QSeries.one(5) + t1 + t2
+    assert hyper_sum(5, TermRatio(1, (0, 1), last=2)) == QSeries.from_monomials(
+        [(1, 0), (1, 1), (1, 2)], 5)
 
-    assert hyper_sum(5, ratio) == QSeries.from_monomials([(1, 0), (1, 1), (1, 2)], 5)
-    assert asked == [1, 2, 3]
+
+#: Coefficients: 0, +-1, other negatives, and denominators other than 1.
+spec_coeffs = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-3)]),
+                        st.fractions(min_value=-9, max_value=9, max_denominator=16))
+#: (alpha, beta) with alpha*k + beta >= 0 from k = 1 on; (0, 0) is a p = 0 factor.
+affine = st.integers(min_value=0, max_value=2).flatmap(
+    lambda alpha: st.tuples(st.just(alpha), st.integers(min_value=-alpha, max_value=3)))
+
+
+@st.composite
+def term_ratios(draw):
+    """A TermRatio with no pole and a finite sum: the power of q grows every
+    step unless ``last`` is set.  A poly of two or more monomials may end
+    with its first one negated, at the same (alpha, beta) or at the constant
+    power the first takes at step 1 or 2, so the two cancel at every step or
+    at one, and the rest of the poly stays.  The scalar is nonzero, so the
+    sum does not end at once."""
+    last = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
+    power = draw(affine.filter(lambda ab: last is not None or sum(ab) >= 1))
+    polys = []
+    for terms in draw(st.lists(st.lists(st.tuples(spec_coeffs, affine), min_size=1,
+                                        max_size=3), max_size=2)):
+        at = draw(st.sampled_from([None, 0, 1, 2] if len(terms) > 1 else [None]))
+        if at is not None:
+            c, (alpha, beta) = terms[0]
+            terms.append((-c, (alpha, beta) if at == 0 else (0, alpha * at + beta)))
+        polys.append(tuple(terms))
+    dens = draw(st.lists(st.tuples(spec_coeffs, affine).filter(
+        lambda cp: not (cp[0] == 1 and sum(cp[1]) == 0)), max_size=3))
+    scalar = draw(spec_coeffs.filter(bool))
+    return TermRatio(scalar, power, tuple(polys), tuple(dens), last)
+
+
+def _ref_series(pairs, n):
+    """Fraction coefficients of sum c*q^p over the (c, p) pairs, through q^n."""
+    out = [Fraction(0)] * (n + 1)
+    for c, p in pairs:
+        if p <= n:
+            out[p] += c
+    return out
+
+
+def _ref_times(x, y):
+    n = len(x) - 1
+    return [sum(x[i] * y[m - i] for i in range(m + 1)) for m in range(n + 1)]
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=12), term_ratios())
+def test_hyper_sum_matches_fraction_reference(n, spec):
+    """hyper_sum against the same sum taken term by term in Fractions."""
+    def at(ab, k):
+        return ab[0] * k + ab[1]
+
+    term = total = _ref_series([(1, 0)], n)
+    k = 1
+    while spec.last is None or k <= spec.last:
+        term = _ref_times(term, _ref_series([(spec.scalar, at(spec.power, k))], n))
+        for poly in spec.polys:
+            term = _ref_times(term, _ref_series([(c, at(ab, k)) for c, ab in poly], n))
+        for c, ab in spec.dens:
+            p = at(ab, k)
+            geometric = ([1 / (1 - c)] + [0] * n if p == 0 else
+                         [c ** (i // p) if i % p == 0 else 0 for i in range(n + 1)])
+            term = _ref_times(term, geometric)
+        if not any(term):
+            break
+        total = [x + y for x, y in zip(total, term)]
+        k += 1
+    got, want = hyper_sum(n, spec), QSeries(n, total)
+    assert got == want
+    assert hash(got) == hash(want)
+
+
+def test_one_sum_builds_one_series_and_adds_none(monkeypatch):
+    """A family sum keeps its term and total as ints: one QSeries, built at
+    the end, and no QSeries.__add__ along the way."""
+    made, added = [], []
+    init, add = QSeries._init, QSeries.__add__
+    monkeypatch.setattr(QSeries, "_init", lambda self, *a: made.append(1) or init(self, *a))
+    monkeypatch.setattr(QSeries, "__add__", lambda x, y: added.append(1) or add(x, y))
+    p = SHARE_POINT
+    got = g1ab_sum(p.a, p.b, p.lam, 1, 40)
+    assert (len(made), len(added)) == (1, 0)
+    assert not got.is_zero()
 
 
 REF_ORDER = 16
@@ -328,6 +441,106 @@ def test_catalog_private_sums_match_term_by_term_reference():
             assert got == want, (name, str(p), got.first_mismatch(want))
 
 
+# ---------------------------------------------------------------------------
+# Spec corruptions: every term ratio is pinned by some entry of
+# verify_all(seed=0, points=1, order=20)
+
+
+SWEEP_ORDER = 20
+
+
+def _sweep_units():
+    """id -> run, for every entry and reduction link of the seed-0, one-point
+    catalog pass; run() gives the verdicts."""
+    point = sample_params(0, 1)[0]
+    units = {e.id: (lambda e=e: [r.status for r in catalog.run_entry(e, 0, 1, SWEEP_ORDER)])
+             for e in catalog.register_all()}
+    for link in catalog.REDUCTION_LINKS:
+        units[f"{link.source}->{link.target}"] = (
+            lambda link=link: ["pass" if link.check(point, SWEEP_ORDER) is None else "fail"])
+    return units
+
+
+def _spec_site():
+    """The builder that called hyper_sum, and the call's line within it (a
+    builder may make more than one spec)."""
+    frame = sys._getframe(2)
+    return frame.f_code.co_name, frame.f_lineno - frame.f_code.co_firstlineno
+
+
+def _with_hyper_sum(wrapper):
+    mp = pytest.MonkeyPatch()
+    for module in (families, catalog):
+        mp.setattr(module, "hyper_sum", wrapper)
+    return mp
+
+
+@pytest.fixture(scope="module")
+def spec_users():
+    """Each spec site -> the ids of the units whose run builds it."""
+    users, running = {}, []
+    real = families.hyper_sum
+
+    def record(order, spec):
+        users.setdefault(_spec_site(), set()).add(running[-1])
+        return real(order, spec)
+
+    mp = _with_hyper_sum(record)
+    try:
+        for uid, run in _sweep_units().items():
+            running.append(uid)
+            run()
+    finally:
+        mp.undo()
+    return users
+
+
+def _double_a_coefficient(spec):
+    """The first poly's last monomial, else the first den, doubled."""
+    if spec.polys:
+        *head, (c, ab) = spec.polys[0]
+        return replace(spec, polys=((*head, (2 * c, ab)),) + spec.polys[1:])
+    if spec.dens:
+        (c, ab), *rest = spec.dens
+        return replace(spec, dens=((2 * c, ab), *rest))
+    return None
+
+
+SPEC_CORRUPTIONS = {
+    "scalar x2": lambda spec: replace(spec, scalar=2 * spec.scalar),
+    "coefficient x2": _double_a_coefficient,
+    "beta + 1": lambda spec: replace(spec, power=(spec.power[0], spec.power[1] + 1)),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(SPEC_CORRUPTIONS))
+def test_every_spec_corruption_fails_an_entry(spec_users, corruption):
+    """All 18 specs (17 builders; _parity_sums makes two) under one
+    corruption each, at every call from their site.  The one survivor has
+    nothing to corrupt: eisenstein_sum's ratio has no coefficient besides its
+    scalar."""
+    assert len(spec_users) == 18
+    corrupt, real = SPEC_CORRUPTIONS[corruption], families.hyper_sum
+    units = _sweep_units()
+    survivors = set()
+    for site, ids in sorted(spec_users.items()):
+        def corrupted(order, spec):
+            if _spec_site() == site:
+                bad = corrupt(spec)
+                if bad is None:
+                    survivors.add(site[0])
+                spec = bad or spec
+            return real(order, spec)
+
+        mp = _with_hyper_sum(corrupted)
+        try:
+            failed = [uid for uid in sorted(ids) if "fail" in units[uid]()]
+        finally:
+            mp.undo()
+        assert failed or site[0] in survivors, (corruption, site, sorted(ids))
+    assert survivors == ({"eisenstein_sum"} if corruption == "coefficient x2" else set())
+
+
 def test_family_parse():
     assert Family.parse("R") is Family.R
     assert Family.parse("G1A") is Family.G1A
@@ -399,7 +612,7 @@ def test_shared_build_is_the_same_object():
     a, b, lam = SHARE_POINT.a, SHARE_POINT.b, SHARE_POINT.lam
     with shared_sums():
         assert rr_sum(a, 1, 20) is rr_sum(a, 1, 20)
-        # the same lambda in two builders: g_sum passes through to g1_sum
+        # the same spec from two builders: g_sum passes through to g1_sum
         assert g_sum(b, lam, 2, 20) is g1_sum(b, 1, lam, 2, 20)
         assert (pochhammer_infinite(QMonomial(a, 1), 20, step=2)
                 is pochhammer_infinite(QMonomial(a, 1), 20, step=2))
@@ -448,15 +661,12 @@ def test_nested_share_joins_the_open_one():
 
 
 def test_unhashable_closure_value_raises_inside_a_share():
-    cell = [1]
+    spec = TermRatio(1, (0, 1), dens=[])  # a list field: summable, not hashable
 
-    def ratio(k):
-        return (cell[0], 1, [], [])
-
-    assert hyper_sum(3, ratio) == QSeries(3, [1, 1, 1, 1])
+    assert hyper_sum(3, spec) == QSeries(3, [1, 1, 1, 1])
     with shared_sums():
         with pytest.raises(TypeError):
-            hyper_sum(3, ratio)
+            hyper_sum(3, spec)
 
 
 def test_run_entry_and_verify_all_open_a_share_and_close_it_when_an_entry_raises(monkeypatch):
